@@ -1,0 +1,90 @@
+"""locsim: energy-aware localization scheduling over synthetic mobility traces.
+
+The package couples a bounded random-walk velocity model with an adaptive
+scheduler that estimates velocity by EWMA, picks the cheapest localization
+method per unit of usable time, and re-fixes exactly when the accumulated
+movement estimate exhausts the accuracy budget. Runs report total fix
+energy and the fraction of time the accuracy requirement was met.
+"""
+
+from .errors import ConfigError, InvalidStateError
+from .mobility import (
+    MobilityParams,
+    MotionTrace,
+    generate_trace,
+    next_acceleration,
+    position_at,
+    read_trace_csv,
+    velocity_at,
+    write_trace_csv,
+)
+from .simulator import (
+    AccuracySchedule,
+    Event,
+    RunResult,
+    SimulationConfig,
+    SweepRow,
+    figure_series,
+    parse_schedule,
+    run,
+    satisfaction_degree,
+    sweep,
+    sweep_means,
+    total_energy,
+)
+from .strategy import (
+    DEFAULT_METHODS,
+    FixNowAt,
+    Method,
+    SampleAgainAt,
+    SchedulerState,
+    StrategyConfig,
+    begin_epoch,
+    cost_rate,
+    ewma_update,
+    on_requirement_change,
+    on_velocity_sample,
+    parse_methods,
+    select_method,
+)
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "ConfigError",
+    "InvalidStateError",
+    "MobilityParams",
+    "MotionTrace",
+    "generate_trace",
+    "next_acceleration",
+    "velocity_at",
+    "position_at",
+    "write_trace_csv",
+    "read_trace_csv",
+    "Method",
+    "StrategyConfig",
+    "SchedulerState",
+    "SampleAgainAt",
+    "FixNowAt",
+    "DEFAULT_METHODS",
+    "parse_methods",
+    "ewma_update",
+    "cost_rate",
+    "select_method",
+    "begin_epoch",
+    "on_velocity_sample",
+    "on_requirement_change",
+    "AccuracySchedule",
+    "parse_schedule",
+    "SimulationConfig",
+    "Event",
+    "RunResult",
+    "run",
+    "total_energy",
+    "satisfaction_degree",
+    "SweepRow",
+    "sweep",
+    "sweep_means",
+    "figure_series",
+    "__version__",
+]

@@ -1,0 +1,249 @@
+"""Synthetic 1-D mobility traces with a bounded random-walk velocity.
+
+A trace stores one velocity value per integer second; velocity is constant
+over [t, t+1). Every ``t1_s`` seconds a fresh acceleration from {-1, 0, +1}
+is drawn uniformly over the choices that keep velocity inside
+[v_min, v_max], so consecutive per-second values never differ by more than
+1 m/s. Position is the exact integral of the piecewise-constant profile.
+
+Randomness comes from numpy's PCG64 (``np.random.default_rng(seed)``) and
+each acceleration event consumes exactly one bounded-integer draw, in
+ascending event-time order. Nothing else in the package draws random
+numbers, so traces (and everything computed from them) are bit-reproducible
+across runs and machines for a given seed.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import ConfigError, InvalidStateError
+
+__all__ = [
+    "MobilityParams",
+    "MotionTrace",
+    "next_acceleration",
+    "generate_trace",
+    "velocity_at",
+    "position_at",
+    "positions_at",
+    "times_at_positions",
+    "trace_to_csv",
+    "write_trace_csv",
+    "parse_trace_csv",
+    "read_trace_csv",
+]
+
+TRACE_CSV_HEADER = "t_s,velocity_mps"
+
+# Steps of +-1 m/s survive 6-decimal CSV rounding with at most this much slack.
+_STEP_SLACK = 2e-6
+
+
+@dataclass(frozen=True)
+class MobilityParams:
+    """Parameters of the bounded random-walk velocity model.
+
+    ``duration_s`` may be zero for a degenerate instant-only horizon; such a
+    trace still carries the single t=0 velocity ``v0``.
+    """
+
+    duration_s: int
+    t1_s: int
+    v_min: float = 1.0
+    v_max: float = 10.0
+    v0: float = 1.0
+    seed: int = 1
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.duration_s, int) or self.duration_s < 0:
+            raise ConfigError(f"duration_s must be a non-negative integer, got {self.duration_s!r}")
+        if not isinstance(self.t1_s, int) or self.t1_s < 1:
+            raise ConfigError(f"t1_s must be a positive integer, got {self.t1_s!r}")
+        if self.v_min < 1:
+            raise ConfigError(f"v_min must be at least 1 m/s, got {self.v_min!r}")
+        if self.v_max < self.v_min:
+            raise ConfigError(f"v_max must be >= v_min, got v_max={self.v_max!r} v_min={self.v_min!r}")
+        if not (self.v_min <= self.v0 <= self.v_max):
+            raise ConfigError(f"v0 must lie in [v_min, v_max], got {self.v0!r}")
+        if not isinstance(self.seed, int) or not (0 <= self.seed < 2**64):
+            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class MotionTrace:
+    """A generated velocity profile plus its exact cumulative distance.
+
+    ``velocities[t]`` holds the (constant) velocity over [t, t+1);
+    ``cumulative_m[k]`` is the distance travelled over [0, k].
+    """
+
+    params: MobilityParams
+    velocities: np.ndarray = field(repr=False)
+    cumulative_m: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        v = np.asarray(self.velocities, dtype=float)
+        p = self.params
+        expected = max(1, p.duration_s)
+        if v.ndim != 1 or len(v) != expected:
+            raise ConfigError(f"trace must hold {expected} per-second velocities, got {v.shape}")
+        if np.any(v < p.v_min) or np.any(v > p.v_max):
+            raise ConfigError("trace velocity outside [v_min, v_max]")
+        steps = np.diff(v)
+        if np.any(np.abs(steps) > 1.0 + _STEP_SLACK):
+            raise ConfigError("trace velocity changed by more than 1 m/s between seconds")
+        change_idx = np.nonzero(steps)[0] + 1
+        if np.any(change_idx % p.t1_s != 0):
+            raise ConfigError("trace velocity changed outside acceleration-event times")
+        v.setflags(write=False)
+        cum = np.concatenate(([0.0], np.cumsum(v)))
+        cum.setflags(write=False)
+        object.__setattr__(self, "velocities", v)
+        object.__setattr__(self, "cumulative_m", cum)
+
+    @property
+    def duration_s(self) -> int:
+        return self.params.duration_s
+
+
+def next_acceleration(v_prev: float, params: MobilityParams, rng: np.random.Generator) -> int:
+    """Draw the next acceleration uniformly from the admissible subset of {-1, 0, +1}.
+
+    Admissible means ``v_prev + a`` stays inside [v_min, v_max]; at the band
+    edges this reduces to {0, +1} / {-1, 0}, and to {0} when v_min == v_max.
+    Consumes exactly one draw from ``rng`` regardless of the subset size.
+    """
+    if not (params.v_min <= v_prev <= params.v_max):
+        raise InvalidStateError(
+            f"velocity {v_prev!r} outside [{params.v_min}, {params.v_max}]"
+        )
+    candidates = [a for a in (-1, 0, 1) if params.v_min <= v_prev + a <= params.v_max]
+    return candidates[int(rng.integers(len(candidates)))]
+
+
+def generate_trace(params: MobilityParams) -> MotionTrace:
+    """Generate the seeded velocity trace for ``params``.
+
+    velocities[0] is v0; a new acceleration is drawn at every t >= 1 with
+    t % t1_s == 0 and the velocity holds steady in between.
+    """
+    rng = np.random.default_rng(params.seed)
+    n = max(1, params.duration_s)
+    v = np.empty(n, dtype=float)
+    cur = float(params.v0)
+    start = 0
+    for event_t in range(params.t1_s, n, params.t1_s):
+        v[start:event_t] = cur
+        cur += next_acceleration(cur, params, rng)
+        start = event_t
+    v[start:] = cur
+    return MotionTrace(params=params, velocities=v)
+
+
+def _check_time(trace: MotionTrace, t: float) -> None:
+    if not (0 <= t <= trace.params.duration_s):
+        raise ValueError(f"t={t!r} outside [0, {trace.params.duration_s}]")
+
+
+def velocity_at(trace: MotionTrace, t: float) -> float:
+    """Velocity at time t (seconds); t == duration_s reads the last entry."""
+    _check_time(trace, t)
+    k = int(t)
+    if k >= len(trace.velocities):
+        k = len(trace.velocities) - 1
+    return float(trace.velocities[k])
+
+
+def position_at(trace: MotionTrace, t: float) -> float:
+    """Distance travelled over [0, t], exact for the piecewise-constant profile."""
+    _check_time(trace, t)
+    k = int(t)
+    if k >= len(trace.velocities):
+        k = len(trace.velocities) - 1
+    return float(trace.cumulative_m[k] + (t - k) * trace.velocities[k])
+
+
+def positions_at(trace: MotionTrace, times: np.ndarray) -> np.ndarray:
+    """Vectorised :func:`position_at` for times already known to be in range."""
+    v = trace.velocities
+    k = np.minimum(times.astype(np.int64), len(v) - 1)
+    return trace.cumulative_m[k] + (times - k) * v[k]
+
+
+def times_at_positions(trace: MotionTrace, positions: np.ndarray) -> np.ndarray:
+    """Inverse of the position integral, capped at the trace duration.
+
+    Velocity never drops below v_min >= 1, so position is strictly
+    increasing and each crossing is solved in closed form on its linear
+    piece. Targets beyond the total distance map to duration_s.
+    """
+    cum = trace.cumulative_m
+    v = trace.velocities
+    duration = float(trace.params.duration_s)
+    k = np.searchsorted(cum, positions, side="right") - 1
+    k = np.clip(k, 0, len(v) - 1)
+    t = k + (positions - cum[k]) / v[k]
+    return np.minimum(t, duration)
+
+
+def _format_velocity(value: float) -> str:
+    text = f"{value:.6f}".rstrip("0").rstrip(".")
+    return text if text else "0"
+
+
+def trace_to_csv(trace: MotionTrace) -> str:
+    lines = [TRACE_CSV_HEADER]
+    lines.extend(f"{t},{_format_velocity(v)}" for t, v in enumerate(trace.velocities))
+    return "\n".join(lines) + "\n"
+
+
+def write_trace_csv(trace: MotionTrace, path) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(trace_to_csv(trace))
+
+
+def parse_trace_csv(text: str, params: MobilityParams | None = None) -> MotionTrace:
+    """Rebuild a trace from CSV text.
+
+    Without explicit ``params`` a permissive parameter set is inferred from
+    the data (t1_s=1, bounds from the observed velocities, seed 0).
+    """
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ConfigError("empty trace CSV") from None
+    if [h.strip() for h in header] != TRACE_CSV_HEADER.split(","):
+        raise ConfigError(f"unexpected trace CSV header {header!r}")
+    velocities: list[float] = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != 2:
+            raise ConfigError(f"malformed trace CSV row {row!r}")
+        t, v = row
+        if int(t) != len(velocities):
+            raise ConfigError(f"trace CSV rows out of order at t={t}")
+        velocities.append(float(v))
+    if not velocities:
+        raise ConfigError("trace CSV holds no rows")
+    if params is None:
+        params = MobilityParams(
+            duration_s=len(velocities),
+            t1_s=1,
+            v_min=float(min(velocities)),
+            v_max=float(max(velocities)),
+            v0=float(velocities[0]),
+            seed=0,
+        )
+    return MotionTrace(params=params, velocities=np.array(velocities, dtype=float))
+
+
+def read_trace_csv(path, params: MobilityParams | None = None) -> MotionTrace:
+    with open(path, "r", newline="") as fh:
+        return parse_trace_csv(fh.read(), params)

@@ -1,0 +1,643 @@
+"""Discrete-event simulation of localization scheduling over a mobility trace.
+
+A run starts with an unconditional (and charged) fix at t=0 and then lets
+the strategy state machine drive velocity sampling and re-fixes. Changes in
+the accuracy requirement force an immediate re-fix; when a change lands at
+the exact instant a fix was already due, only one fix happens. Events that
+would occur at or after the horizon are dropped.
+
+The satisfaction degree is the fraction of time the position uncertainty
+(distance moved since the last fix plus that fix's method accuracy) stays
+within the requirement in force. Velocity never drops below 1 m/s, so the
+uncertainty is strictly increasing between fixes and every
+satisfied-to-violated crossing is solved in closed form on its linear
+piece; no time discretization is involved.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import math
+from bisect import bisect_right
+from dataclasses import dataclass, replace
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
+
+from .errors import ConfigError
+from .mobility import (
+    MobilityParams,
+    MotionTrace,
+    generate_trace,
+    position_at,
+    positions_at,
+    times_at_positions,
+)
+from .strategy import (
+    FixNowAt,
+    Method,
+    SchedulerState,
+    StrategyConfig,
+    begin_epoch,
+    on_requirement_change,
+    on_velocity_sample,
+)
+
+__all__ = [
+    "AccuracySchedule",
+    "parse_schedule",
+    "format_schedule",
+    "SimulationConfig",
+    "Event",
+    "EVENT_FIX",
+    "EVENT_SAMPLE",
+    "EVENT_SCHEDULE_CHANGE",
+    "RunResult",
+    "run",
+    "total_energy",
+    "satisfaction_degree",
+    "SweepRow",
+    "SweepMean",
+    "sweep",
+    "sweep_means",
+    "figure_series",
+    "SUMMARY_CSV_HEADER",
+    "MEAN_CSV_HEADER",
+    "EVENT_CSV_HEADER",
+    "summary_to_csv",
+    "write_summary_csv",
+    "parse_summary_csv",
+    "read_summary_csv",
+    "means_to_csv",
+    "write_mean_csv",
+    "events_to_csv",
+    "write_events_csv",
+    "parse_events_csv",
+    "read_events_csv",
+]
+
+EVENT_FIX = "fix"
+EVENT_SAMPLE = "sample"
+EVENT_SCHEDULE_CHANGE = "schedule_change"
+
+SUMMARY_CSV_HEADER = "kind,alpha,beta,seed,total_energy_mJ,satisfaction,fix_count,sample_count"
+MEAN_CSV_HEADER = "kind,alpha,beta,total_energy_mJ,satisfaction,fix_count,sample_count"
+EVENT_CSV_HEADER = "time_s,kind,method,energy_mJ,position_m,velocity_mps,ve_mps"
+
+
+@dataclass(frozen=True)
+class AccuracySchedule:
+    """Left-closed piecewise-constant accuracy requirement over time.
+
+    ``entries`` are (start_s, requirement_m) pairs; the first start must be
+    0 and starts must strictly increase. The last entry extends to the end
+    of any horizon.
+    """
+
+    entries: tuple[tuple[float, float], ...]
+
+    def __post_init__(self) -> None:
+        entries = tuple((float(s), float(r)) for s, r in self.entries)
+        if not entries:
+            raise ConfigError("schedule needs at least one entry")
+        if entries[0][0] != 0:
+            raise ConfigError(f"schedule must start at t=0, got {entries[0][0]!r}")
+        for (s0, _), (s1, _) in zip(entries, entries[1:]):
+            if s1 <= s0:
+                raise ConfigError("schedule start times must strictly increase")
+        for s, r in entries:
+            if r <= 0:
+                raise ConfigError(f"requirement at t={s:g} must be > 0, got {r!r}")
+        object.__setattr__(self, "entries", entries)
+
+    def requirement_at(self, t: float) -> float:
+        if t < 0:
+            raise ValueError(f"t={t!r} is negative")
+        starts = [s for s, _ in self.entries]
+        return self.entries[bisect_right(starts, t) - 1][1]
+
+    def change_times(self) -> tuple[float, ...]:
+        return tuple(s for s, _ in self.entries[1:])
+
+
+def parse_schedule(text: str) -> AccuracySchedule:
+    """Parse ``start:requirement,start:requirement,...``."""
+    entries: list[tuple[float, float]] = []
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        fields = part.split(":")
+        if len(fields) != 2:
+            raise ConfigError(f"malformed schedule entry {part!r} (want start_s:requirement_m)")
+        try:
+            entries.append((float(fields[0]), float(fields[1])))
+        except ValueError as exc:
+            raise ConfigError(f"malformed schedule entry {part!r}: {exc}") from exc
+    if not entries:
+        raise ConfigError("schedule is empty")
+    return AccuracySchedule(tuple(entries))
+
+
+def format_schedule(schedule: AccuracySchedule) -> str:
+    return ",".join(f"{s:g}:{r:g}" for s, r in schedule.entries)
+
+
+@dataclass(frozen=True)
+class SimulationConfig:
+    """Everything one run needs: mobility, strategy tuning, schedule, kind.
+
+    ``strategy_kind`` is either "adaptive" (cost-rate method selection) or
+    "fixed:<name>" which pins that method while keeping the same scheduling
+    loop (budget-driven sampling, forced re-fix on requirement changes).
+    """
+
+    mobility: MobilityParams
+    strategy_cfg: StrategyConfig
+    schedule: AccuracySchedule
+    strategy_kind: str = "adaptive"
+
+    def __post_init__(self) -> None:
+        self.pinned_method()
+
+    def pinned_method(self) -> Optional[Method]:
+        kind = self.strategy_kind
+        if kind == "adaptive":
+            return None
+        if kind.startswith("fixed:"):
+            name = kind[len("fixed:"):]
+            for m in self.strategy_cfg.methods:
+                if m.name == name:
+                    return m
+            raise ConfigError(f"strategy {kind!r} names an unknown method {name!r}")
+        raise ConfigError(f"strategy must be 'adaptive' or 'fixed:<name>', got {kind!r}")
+
+
+@dataclass(frozen=True, slots=True)
+class Event:
+    """One observable simulation event.
+
+    At a shared timestamp the canonical log order is schedule_change, then
+    fix, then sample. ``v_e_mps`` is the estimator state right after the
+    event; method and energy are only set for fixes.
+    """
+
+    time_s: float
+    kind: str
+    method: Optional[Method]
+    energy_mJ: Optional[float]
+    position_m: float
+    velocity_mps: float
+    v_e_mps: Optional[float]
+
+
+@dataclass(frozen=True)
+class RunResult:
+    total_energy_mJ: float
+    satisfaction: float
+    fix_count: int
+    sample_count: int
+    events: tuple[Event, ...]
+
+
+def run(
+    config: SimulationConfig,
+    *,
+    trace: Optional[MotionTrace] = None,
+    record_events: bool = True,
+) -> RunResult:
+    """Simulate one full run; pure function of ``config``.
+
+    ``trace`` may supply a pre-generated trace for the same mobility
+    parameters (useful when sweeping strategy knobs over a shared seed).
+    With ``record_events=False`` the event log is left empty; every metric
+    is unchanged.
+    """
+    if trace is None:
+        trace = generate_trace(config.mobility)
+    elif trace.params != config.mobility:
+        raise ConfigError("supplied trace was generated from different mobility parameters")
+
+    pinned = config.pinned_method()
+    sched_cfg = (
+        config.strategy_cfg
+        if pinned is None
+        else replace(config.strategy_cfg, methods=(pinned,))
+    )
+    schedule = config.schedule
+    duration = float(config.mobility.duration_s)
+    vel = trace.velocities
+    n_vel = len(vel)
+
+    state = SchedulerState()
+    events: list[Event] = []
+    fix_times: list[float] = []
+    fix_accs: list[float] = []
+    energy = 0.0
+    sample_count = 0
+
+    def _velocity(t: float) -> float:
+        k = int(t)
+        return float(vel[k]) if k < n_vel else float(vel[n_vel - 1])
+
+    def _fix(t: float) -> None:
+        nonlocal energy
+        v = _velocity(t)
+        _, method = begin_epoch(state, t, schedule.requirement_at(t), v, sched_cfg)
+        energy += method.energy_mJ
+        fix_times.append(t)
+        fix_accs.append(method.accuracy_m)
+        if record_events:
+            events.append(
+                Event(t, EVENT_FIX, method, method.energy_mJ, position_at(trace, t), v, state.v_e)
+            )
+
+    _fix(0.0)
+
+    changes = schedule.change_times()
+    n_changes = len(changes)
+    ci = 0
+    while True:
+        pending = state.next_sample_time
+        change_t = changes[ci] if ci < n_changes else math.inf
+        t_next = change_t if change_t <= pending else pending
+        if t_next >= duration:
+            break
+        if change_t <= pending:
+            # A change due exactly when a fix was scheduled coalesces into
+            # this single forced fix.
+            ci += 1
+            if record_events:
+                events.append(
+                    Event(
+                        change_t,
+                        EVENT_SCHEDULE_CHANGE,
+                        None,
+                        None,
+                        position_at(trace, change_t),
+                        _velocity(change_t),
+                        state.v_e,
+                    )
+                )
+            on_requirement_change(state, change_t, schedule.requirement_at(change_t), sched_cfg)
+            _fix(change_t)
+        elif state.budget_m <= 0.0:
+            _fix(pending)  # fallback regime: periodic forced re-fix
+        else:
+            v = _velocity(pending)
+            decision = on_velocity_sample(state, pending, v, sched_cfg)
+            sample_count += 1
+            ve_after_sample = state.v_e
+            if type(decision) is FixNowAt:
+                _fix(pending)
+            if record_events:
+                events.append(
+                    Event(
+                        pending,
+                        EVENT_SAMPLE,
+                        None,
+                        None,
+                        position_at(trace, pending),
+                        v,
+                        ve_after_sample,
+                    )
+                )
+
+    satisfaction = _satisfaction_exact(
+        np.array(fix_times, dtype=float), np.array(fix_accs, dtype=float), trace, schedule
+    )
+    return RunResult(
+        total_energy_mJ=energy,
+        satisfaction=satisfaction,
+        fix_count=len(fix_times),
+        sample_count=sample_count,
+        events=tuple(events),
+    )
+
+
+def total_energy(events: Iterable[Event]) -> float:
+    """Sum of per-fix energies; no standby or sampling cost is modelled."""
+    return float(math.fsum(e.energy_mJ for e in events if e.kind == EVENT_FIX))
+
+
+def satisfaction_degree(
+    events: Sequence[Event], trace: MotionTrace, schedule: AccuracySchedule
+) -> float:
+    """Fraction of [0, duration] where uncertainty stays within the requirement.
+
+    Uncertainty at time t is (position(t) - position(last fix)) plus the
+    last fix's method accuracy; the boundary case (equality) counts as
+    satisfied. The event log must contain a fix at t=0.
+    """
+    fixes = [(e.time_s, e.method.accuracy_m) for e in events if e.kind == EVENT_FIX and e.method]
+    if not fixes or fixes[0][0] != 0.0:
+        raise ValueError("event log must contain a fix at t=0")
+    fix_times = np.array([t for t, _ in fixes], dtype=float)
+    fix_accs = np.array([a for _, a in fixes], dtype=float)
+    return _satisfaction_exact(fix_times, fix_accs, trace, schedule)
+
+
+def _satisfaction_exact(
+    fix_times: np.ndarray,
+    fix_accs: np.ndarray,
+    trace: MotionTrace,
+    schedule: AccuracySchedule,
+) -> float:
+    duration = float(trace.params.duration_s)
+    if duration <= 0:
+        return 1.0
+
+    starts = np.array([s for s, _ in schedule.entries], dtype=float)
+    reqs = np.array([r for _, r in schedule.entries], dtype=float)
+    ends = np.append(fix_times[1:], duration)
+
+    changes = starts[1:]
+    changes = changes[(changes > 0) & (changes < duration)]
+    interior = changes[~np.isin(changes, fix_times)]
+
+    if interior.size == 0:
+        span_start = fix_times
+        span_end = ends
+        span_room = reqs[np.searchsorted(starts, fix_times, side="right") - 1] - fix_accs
+        span_pfix = positions_at(trace, fix_times)
+    else:
+        # Requirement changed inside an epoch (possible only for hand-built
+        # event logs): split those epochs at the change times.
+        pfix = positions_at(trace, fix_times)
+        s_start: list[float] = []
+        s_end: list[float] = []
+        s_room: list[float] = []
+        s_pfix: list[float] = []
+        for i in range(len(fix_times)):
+            t0, t1 = float(fix_times[i]), float(ends[i])
+            cuts = [float(c) for c in interior if t0 < c < t1]
+            pts = [t0, *cuts, t1]
+            for a, b in zip(pts[:-1], pts[1:]):
+                s_start.append(a)
+                s_end.append(b)
+                s_room.append(schedule.requirement_at(a) - float(fix_accs[i]))
+                s_pfix.append(float(pfix[i]))
+        span_start = np.array(s_start)
+        span_end = np.array(s_end)
+        span_room = np.array(s_room)
+        span_pfix = np.array(s_pfix)
+
+    crossings = times_at_positions(trace, span_pfix + span_room)
+    crossings = np.where(span_room < 0, span_start, crossings)
+    crossings = np.clip(crossings, span_start, span_end)
+    violated = float(np.sum(span_end - crossings))
+    if violated <= 0.0:
+        return 1.0
+    return (duration - violated) / duration
+
+
+@dataclass(frozen=True)
+class SweepRow:
+    kind: str
+    alpha: float
+    beta: float
+    seed: int
+    total_energy_mJ: float
+    satisfaction: float
+    fix_count: int
+    sample_count: int
+
+
+@dataclass(frozen=True)
+class SweepMean:
+    kind: str
+    alpha: float
+    beta: float
+    total_energy_mJ: float
+    satisfaction: float
+    fix_count: float
+    sample_count: float
+
+
+def sweep(
+    base: SimulationConfig,
+    alphas: Sequence[float],
+    betas: Sequence[float],
+    seeds: Sequence[int],
+    kinds: Sequence[str],
+) -> list[SweepRow]:
+    """Run the grid in deterministic (kind, alpha, beta, seed) order.
+
+    The mobility trace depends on the seed only, so each seed's trace is
+    generated once and shared across strategy cells.
+    """
+    if not alphas or not betas or not seeds or not kinds:
+        raise ConfigError("sweep needs at least one alpha, beta, seed and kind")
+    traces: dict[int, MotionTrace] = {}
+    rows: list[SweepRow] = []
+    for kind in kinds:
+        for alpha in alphas:
+            for beta in betas:
+                for seed in seeds:
+                    try:
+                        mobility = replace(base.mobility, seed=seed)
+                        trace = traces.get(seed)
+                        if trace is None:
+                            trace = traces[seed] = generate_trace(mobility)
+                        cfg = replace(
+                            base,
+                            mobility=mobility,
+                            strategy_cfg=replace(base.strategy_cfg, alpha=alpha, beta=beta),
+                            strategy_kind=kind,
+                        )
+                        result = run(cfg, trace=trace, record_events=False)
+                    except ConfigError as exc:
+                        raise ConfigError(
+                            f"sweep cell kind={kind} alpha={alpha} beta={beta} seed={seed}: {exc}"
+                        ) from exc
+                    rows.append(
+                        SweepRow(
+                            kind,
+                            alpha,
+                            beta,
+                            seed,
+                            result.total_energy_mJ,
+                            result.satisfaction,
+                            result.fix_count,
+                            result.sample_count,
+                        )
+                    )
+    return rows
+
+
+def sweep_means(rows: Sequence[SweepRow]) -> list[SweepMean]:
+    """Per-(kind, alpha, beta) means over seeds, in first-appearance order."""
+    grouped: dict[tuple[str, float, float], list[SweepRow]] = {}
+    for row in rows:
+        grouped.setdefault((row.kind, row.alpha, row.beta), []).append(row)
+    means: list[SweepMean] = []
+    for (kind, alpha, beta), cell in grouped.items():
+        n = len(cell)
+        means.append(
+            SweepMean(
+                kind,
+                alpha,
+                beta,
+                math.fsum(r.total_energy_mJ for r in cell) / n,
+                math.fsum(r.satisfaction for r in cell) / n,
+                math.fsum(r.fix_count for r in cell) / n,
+                math.fsum(r.sample_count for r in cell) / n,
+            )
+        )
+    return means
+
+
+DEFAULT_FIGURE_BETAS = tuple(round(0.1 * i, 10) for i in range(1, 11))
+DEFAULT_FIGURE_SEEDS = tuple(range(1, 31))
+
+
+def figure_series(
+    base: SimulationConfig,
+    *,
+    betas: Sequence[float] = DEFAULT_FIGURE_BETAS,
+    seeds: Sequence[int] = DEFAULT_FIGURE_SEEDS,
+) -> dict[str, list[tuple[float, float, float]]]:
+    """Build the four comparison tables: energy and satisfaction vs beta.
+
+    fig2/fig3 compare mean energy / mean satisfaction of fixed:gps against
+    the adaptive strategy at alpha=0.5; fig4/fig5 repeat this at alpha=0.3.
+    Rows are (beta, gps_value, ours_value).
+    """
+    tables: dict[str, list[tuple[float, float, float]]] = {}
+    for alpha, (energy_key, sat_key) in ((0.5, ("fig2", "fig3")), (0.3, ("fig4", "fig5"))):
+        rows = sweep(base, [alpha], betas, seeds, ["fixed:gps", "adaptive"])
+        means = sweep_means(rows)
+        gps = {m.beta: m for m in means if m.kind == "fixed:gps"}
+        ours = {m.beta: m for m in means if m.kind == "adaptive"}
+        tables[energy_key] = [
+            (b, gps[b].total_energy_mJ, ours[b].total_energy_mJ) for b in betas
+        ]
+        tables[sat_key] = [(b, gps[b].satisfaction, ours[b].satisfaction) for b in betas]
+    return tables
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.6f}"
+
+
+def summary_to_csv(rows: Sequence[SweepRow]) -> str:
+    lines = [SUMMARY_CSV_HEADER]
+    for r in rows:
+        lines.append(
+            f"{r.kind},{_fmt(r.alpha)},{_fmt(r.beta)},{r.seed},"
+            f"{_fmt(r.total_energy_mJ)},{_fmt(r.satisfaction)},{r.fix_count},{r.sample_count}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def write_summary_csv(rows: Sequence[SweepRow], path) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(summary_to_csv(rows))
+
+
+def parse_summary_csv(text: str) -> list[SweepRow]:
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ConfigError("empty summary CSV") from None
+    if header != SUMMARY_CSV_HEADER.split(","):
+        raise ConfigError(f"unexpected summary CSV header {header!r}")
+    rows: list[SweepRow] = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != 8:
+            raise ConfigError(f"malformed summary CSV row {row!r}")
+        rows.append(
+            SweepRow(
+                row[0],
+                float(row[1]),
+                float(row[2]),
+                int(row[3]),
+                float(row[4]),
+                float(row[5]),
+                int(row[6]),
+                int(row[7]),
+            )
+        )
+    return rows
+
+
+def read_summary_csv(path) -> list[SweepRow]:
+    with open(path, "r", newline="") as fh:
+        return parse_summary_csv(fh.read())
+
+
+def means_to_csv(means: Sequence[SweepMean]) -> str:
+    lines = [MEAN_CSV_HEADER]
+    for m in means:
+        lines.append(
+            f"{m.kind},{_fmt(m.alpha)},{_fmt(m.beta)},"
+            f"{_fmt(m.total_energy_mJ)},{_fmt(m.satisfaction)},{_fmt(m.fix_count)},{_fmt(m.sample_count)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def write_mean_csv(means: Sequence[SweepMean], path) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(means_to_csv(means))
+
+
+def events_to_csv(events: Sequence[Event]) -> str:
+    lines = [EVENT_CSV_HEADER]
+    for e in events:
+        method = e.method.name if e.method is not None else ""
+        energy = _fmt(e.energy_mJ) if e.energy_mJ is not None else ""
+        ve = _fmt(e.v_e_mps) if e.v_e_mps is not None else ""
+        lines.append(
+            f"{_fmt(e.time_s)},{e.kind},{method},{energy},"
+            f"{_fmt(e.position_m)},{_fmt(e.velocity_mps)},{ve}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def write_events_csv(events: Sequence[Event], path) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(events_to_csv(events))
+
+
+def parse_events_csv(text: str, methods: Sequence[Method]) -> tuple[Event, ...]:
+    by_name = {m.name: m for m in methods}
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ConfigError("empty event CSV") from None
+    if header != EVENT_CSV_HEADER.split(","):
+        raise ConfigError(f"unexpected event CSV header {header!r}")
+    events: list[Event] = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != 7:
+            raise ConfigError(f"malformed event CSV row {row!r}")
+        t, kind, method_name, energy, pos, v, ve = row
+        method = None
+        if method_name:
+            if method_name not in by_name:
+                raise ConfigError(f"event CSV names unknown method {method_name!r}")
+            method = by_name[method_name]
+        events.append(
+            Event(
+                float(t),
+                kind,
+                method,
+                float(energy) if energy else None,
+                float(pos),
+                float(v),
+                float(ve) if ve else None,
+            )
+        )
+    return tuple(events)
+
+
+def read_events_csv(path, methods: Sequence[Method]) -> tuple[Event, ...]:
+    with open(path, "r", newline="") as fh:
+        return parse_events_csv(fh.read(), methods)
