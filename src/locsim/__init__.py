@@ -34,16 +34,10 @@ from .simulator import (
 )
 from .strategy import (
     DEFAULT_METHODS,
-    FixNowAt,
     Method,
-    SampleAgainAt,
-    SchedulerState,
     StrategyConfig,
-    begin_epoch,
     cost_rate,
     ewma_update,
-    on_requirement_change,
-    on_velocity_sample,
     parse_methods,
     select_method,
 )
@@ -63,17 +57,11 @@ __all__ = [
     "read_trace_csv",
     "Method",
     "StrategyConfig",
-    "SchedulerState",
-    "SampleAgainAt",
-    "FixNowAt",
     "DEFAULT_METHODS",
     "parse_methods",
     "ewma_update",
     "cost_rate",
     "select_method",
-    "begin_epoch",
-    "on_velocity_sample",
-    "on_requirement_change",
     "AccuracySchedule",
     "parse_schedule",
     "SimulationConfig",

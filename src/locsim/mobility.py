@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +66,9 @@ class MobilityParams:
             raise ConfigError(f"duration_s must be a non-negative integer, got {self.duration_s!r}")
         if not isinstance(self.t1_s, int) or self.t1_s < 1:
             raise ConfigError(f"t1_s must be a positive integer, got {self.t1_s!r}")
+        for name in ("v_min", "v_max", "v0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.v_min < 1:
             raise ConfigError(f"v_min must be at least 1 m/s, got {self.v_min!r}")
         if self.v_max < self.v_min:
@@ -109,6 +114,11 @@ class MotionTrace:
     @property
     def duration_s(self) -> int:
         return self.params.duration_s
+
+    @cached_property
+    def velocity_list(self) -> list[float]:
+        """``velocities`` as Python floats, built once per trace for scalar loops."""
+        return self.velocities.tolist()
 
 
 def next_acceleration(v_prev: float, params: MobilityParams, rng: np.random.Generator) -> int:

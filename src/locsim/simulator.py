@@ -1,7 +1,7 @@
 """Discrete-event simulation of localization scheduling over a mobility trace.
 
-A run starts with an unconditional (and charged) fix at t=0 and then lets
-the strategy state machine drive velocity sampling and re-fixes. Changes in
+A run starts with an unconditional (and charged) fix at t=0 and then
+samples velocity and re-fixes as the adaptive strategy prescribes. Changes in
 the accuracy requirement force an immediate re-fix; when a change lands at
 the exact instant a fix was already due, only one fix happens. Events that
 would occur at or after the horizon are dropped.
@@ -20,7 +20,7 @@ import csv
 import io
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -34,15 +34,8 @@ from .mobility import (
     positions_at,
     times_at_positions,
 )
-from .strategy import (
-    FixNowAt,
-    Method,
-    SchedulerState,
-    StrategyConfig,
-    begin_epoch,
-    on_requirement_change,
-    on_velocity_sample,
-)
+from . import strategy
+from .strategy import BUDGET_REL_TOL, Method, StrategyConfig, most_accurate_method
 
 __all__ = [
     "AccuracySchedule",
@@ -96,11 +89,15 @@ class AccuracySchedule:
     """
 
     entries: tuple[tuple[float, float], ...]
+    starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         entries = tuple((float(s), float(r)) for s, r in self.entries)
         if not entries:
             raise ConfigError("schedule needs at least one entry")
+        for s, r in entries:
+            if not (math.isfinite(s) and math.isfinite(r)):
+                raise ConfigError(f"schedule entry {s!r}:{r!r} must be finite")
         if entries[0][0] != 0:
             raise ConfigError(f"schedule must start at t=0, got {entries[0][0]!r}")
         for (s0, _), (s1, _) in zip(entries, entries[1:]):
@@ -110,12 +107,12 @@ class AccuracySchedule:
             if r <= 0:
                 raise ConfigError(f"requirement at t={s:g} must be > 0, got {r!r}")
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "starts", tuple(s for s, _ in entries))
 
     def requirement_at(self, t: float) -> float:
         if t < 0:
             raise ValueError(f"t={t!r} is negative")
-        starts = [s for s, _ in self.entries]
-        return self.entries[bisect_right(starts, t) - 1][1]
+        return self.entries[bisect_right(self.starts, t) - 1][1]
 
     def change_times(self) -> tuple[float, ...]:
         return tuple(s for s, _ in self.entries[1:])
@@ -213,105 +210,124 @@ def run(
     parameters (useful when sweeping strategy knobs over a shared seed).
     With ``record_events=False`` the event log is left empty; every metric
     is unchanged.
+
+    The scheduler is one loop over Python floats, one epoch per outer
+    iteration. Each fix folds the velocity at its instant into the EWMA
+    ``v_e`` (the first fix sets ``v_e`` to it), selects the method and
+    opens an epoch with room ``requirement - accuracy_m``. A positive room
+    is sampled every ``step = t_s * beta`` seconds, ``t_s = room / v_e``;
+    each sample folds its velocity into ``v_e`` and adds ``v_e * step`` to
+    the distance estimate ``r_i``, and the sample at which ``r_i`` reaches
+    the room calls for a fix at that same instant. A room <= 0 (no method
+    beats the requirement) re-fixes every ``t_min_refix_s`` instead.
     """
     if trace is None:
         trace = generate_trace(config.mobility)
     elif trace.params != config.mobility:
         raise ConfigError("supplied trace was generated from different mobility parameters")
 
+    cfg = config.strategy_cfg
     pinned = config.pinned_method()
-    sched_cfg = (
-        config.strategy_cfg
-        if pinned is None
-        else replace(config.strategy_cfg, methods=(pinned,))
-    )
-    schedule = config.schedule
+    methods = cfg.methods if pinned is None else (pinned,)
+    # Looked up per run, not per fix, so a replaced module attribute is seen.
+    select_method = strategy.select_method
+    entries = config.schedule.entries
+    change_after = config.schedule.change_times() + (math.inf,)  # next change once entry i holds
     duration = float(config.mobility.duration_s)
-    vel = trace.velocities
-    n_vel = len(vel)
+    vel = trace.velocity_list  # every event index int(t) is < duration, so in range
+    alpha = cfg.alpha
+    keep = 1.0 - alpha
+    beta = cfg.beta
+    t_refix = cfg.t_min_refix_s
+    near = 1.0 - BUDGET_REL_TOL
 
-    state = SchedulerState()
     events: list[Event] = []
     fix_times: list[float] = []
-    fix_accs: list[float] = []
+    fix_rooms: list[float] = []
     energy = 0.0
-    sample_count = 0
+    samples = 0
+    trigger: Optional[Event] = None  # a sample calling for a fix is logged after that fix
 
-    def _velocity(t: float) -> float:
-        k = int(t)
-        return float(vel[k]) if k < n_vel else float(vel[n_vel - 1])
-
-    def _fix(t: float) -> None:
-        nonlocal energy
-        v = _velocity(t)
-        _, method = begin_epoch(state, t, schedule.requirement_at(t), v, sched_cfg)
+    si = 0  # index of the schedule entry in force
+    change_t = change_after[0]
+    bound = min(change_t, duration)
+    t = 0.0
+    v = v_e = vel[0]
+    while True:
+        # A fix at t; v is the velocity at t, already folded into v_e.
+        a_t = entries[si][1]
+        method = select_method(methods, a_t, v_e) or most_accurate_method(methods)
+        room = a_t - method.accuracy_m
         energy += method.energy_mJ
         fix_times.append(t)
-        fix_accs.append(method.accuracy_m)
+        fix_rooms.append(room)
         if record_events:
             events.append(
-                Event(t, EVENT_FIX, method, method.energy_mJ, position_at(trace, t), v, state.v_e)
+                Event(t, EVENT_FIX, method, method.energy_mJ, position_at(trace, t), v, v_e)
             )
+            if trigger is not None:
+                events.append(trigger)
+                trigger = None
 
-    _fix(0.0)
+        # Find the next event: a fix (fix_due), else a change or the horizon.
+        fix_due = False
+        if room > 0.0:
+            t_s = room / v_e
+            step = t_s * beta
+            limit = room * near
+            r_i = 0.0
+            n = 0  # samples taken in this epoch
+            t_next = t + step
+            while t_next < bound:
+                v = vel[int(t_next)]
+                v_e = alpha * v + keep * v_e
+                r_i += v_e * step
+                n += 1
+                if not r_i < limit:
+                    fix_due = True
+                    if record_events:
+                        trigger = Event(
+                            t_next, EVENT_SAMPLE, None, None, position_at(trace, t_next), v, v_e
+                        )
+                    break
+                if record_events:
+                    events.append(
+                        Event(t_next, EVENT_SAMPLE, None, None, position_at(trace, t_next), v, v_e)
+                    )
+                t_next = t + (n + 1) * step
+            samples += n
+        else:
+            t_next = t + t_refix
+            if t_next < bound:
+                fix_due = True
+                v = vel[int(t_next)]
 
-    changes = schedule.change_times()
-    n_changes = len(changes)
-    ci = 0
-    while True:
-        pending = state.next_sample_time
-        change_t = changes[ci] if ci < n_changes else math.inf
-        t_next = change_t if change_t <= pending else pending
-        if t_next >= duration:
-            break
-        if change_t <= pending:
+        if fix_due:
+            t = t_next
+        elif change_t <= t_next and change_t < duration:
             # A change due exactly when a fix was scheduled coalesces into
             # this single forced fix.
-            ci += 1
+            t = change_t
+            v = vel[int(t)]
             if record_events:
                 events.append(
-                    Event(
-                        change_t,
-                        EVENT_SCHEDULE_CHANGE,
-                        None,
-                        None,
-                        position_at(trace, change_t),
-                        _velocity(change_t),
-                        state.v_e,
-                    )
+                    Event(t, EVENT_SCHEDULE_CHANGE, None, None, position_at(trace, t), v, v_e)
                 )
-            on_requirement_change(state, change_t, schedule.requirement_at(change_t), sched_cfg)
-            _fix(change_t)
-        elif state.budget_m <= 0.0:
-            _fix(pending)  # fallback regime: periodic forced re-fix
+            si += 1
+            change_t = change_after[si]
+            bound = min(change_t, duration)
         else:
-            v = _velocity(pending)
-            decision = on_velocity_sample(state, pending, v, sched_cfg)
-            sample_count += 1
-            ve_after_sample = state.v_e
-            if type(decision) is FixNowAt:
-                _fix(pending)
-            if record_events:
-                events.append(
-                    Event(
-                        pending,
-                        EVENT_SAMPLE,
-                        None,
-                        None,
-                        position_at(trace, pending),
-                        v,
-                        ve_after_sample,
-                    )
-                )
+            break
+        v_e = alpha * v + keep * v_e
 
     satisfaction = _satisfaction_exact(
-        np.array(fix_times, dtype=float), np.array(fix_accs, dtype=float), trace, schedule
+        np.array(fix_times, dtype=float), np.array(fix_rooms, dtype=float), trace
     )
     return RunResult(
         total_energy_mJ=energy,
         satisfaction=satisfaction,
         fix_count=len(fix_times),
-        sample_count=sample_count,
+        sample_count=samples,
         events=tuple(events),
     )
 
@@ -328,61 +344,46 @@ def satisfaction_degree(
 
     Uncertainty at time t is (position(t) - position(last fix)) plus the
     last fix's method accuracy; the boundary case (equality) counts as
-    satisfied. The event log must contain a fix at t=0.
+    satisfied. The event log must contain a fix at t=0. Unlike a log from
+    :func:`run`, a hand-built log may leave a requirement change without a
+    fix; the epoch around it is split there.
     """
     fixes = [(e.time_s, e.method.accuracy_m) for e in events if e.kind == EVENT_FIX and e.method]
     if not fixes or fixes[0][0] != 0.0:
         raise ValueError("event log must contain a fix at t=0")
     fix_times = np.array([t for t, _ in fixes], dtype=float)
     fix_accs = np.array([a for _, a in fixes], dtype=float)
-    return _satisfaction_exact(fix_times, fix_accs, trace, schedule)
+    starts = np.array(schedule.starts, dtype=float)
+    reqs = np.array([r for _, r in schedule.entries], dtype=float)
+    changes = starts[1:]
+    interior = changes[(changes < trace.params.duration_s) & ~np.isin(changes, fix_times)]
+    span_start = np.sort(np.concatenate((fix_times, interior)))
+    owner = np.searchsorted(fix_times, span_start, side="right") - 1
+    span_room = reqs[np.searchsorted(starts, span_start, side="right") - 1] - fix_accs[owner]
+    return _satisfaction_exact(
+        span_start, span_room, trace, positions_at(trace, fix_times)[owner]
+    )
 
 
 def _satisfaction_exact(
-    fix_times: np.ndarray,
-    fix_accs: np.ndarray,
+    span_start: np.ndarray,
+    span_room: np.ndarray,
     trace: MotionTrace,
-    schedule: AccuracySchedule,
+    span_pfix: Optional[np.ndarray] = None,
 ) -> float:
+    """Exact satisfaction over spans with a constant room each.
+
+    Span i runs from ``span_start[i]`` to the next span's start (the last
+    one to the horizon). Its room is requirement minus fix accuracy, and
+    its uncertainty grows from the fix position ``span_pfix[i]``, by
+    default the position at the span start (every span opens with a fix).
+    """
     duration = float(trace.params.duration_s)
     if duration <= 0:
         return 1.0
-
-    starts = np.array([s for s, _ in schedule.entries], dtype=float)
-    reqs = np.array([r for _, r in schedule.entries], dtype=float)
-    ends = np.append(fix_times[1:], duration)
-
-    changes = starts[1:]
-    changes = changes[(changes > 0) & (changes < duration)]
-    interior = changes[~np.isin(changes, fix_times)]
-
-    if interior.size == 0:
-        span_start = fix_times
-        span_end = ends
-        span_room = reqs[np.searchsorted(starts, fix_times, side="right") - 1] - fix_accs
-        span_pfix = positions_at(trace, fix_times)
-    else:
-        # Requirement changed inside an epoch (possible only for hand-built
-        # event logs): split those epochs at the change times.
-        pfix = positions_at(trace, fix_times)
-        s_start: list[float] = []
-        s_end: list[float] = []
-        s_room: list[float] = []
-        s_pfix: list[float] = []
-        for i in range(len(fix_times)):
-            t0, t1 = float(fix_times[i]), float(ends[i])
-            cuts = [float(c) for c in interior if t0 < c < t1]
-            pts = [t0, *cuts, t1]
-            for a, b in zip(pts[:-1], pts[1:]):
-                s_start.append(a)
-                s_end.append(b)
-                s_room.append(schedule.requirement_at(a) - float(fix_accs[i]))
-                s_pfix.append(float(pfix[i]))
-        span_start = np.array(s_start)
-        span_end = np.array(s_end)
-        span_room = np.array(s_room)
-        span_pfix = np.array(s_pfix)
-
+    span_end = np.append(span_start[1:], duration)
+    if span_pfix is None:
+        span_pfix = positions_at(trace, span_start)
     crossings = times_at_positions(trace, span_pfix + span_room)
     crossings = np.where(span_room < 0, span_start, crossings)
     crossings = np.clip(crossings, span_start, span_end)

@@ -1,4 +1,4 @@
-"""Adaptive localization scheduling.
+"""Adaptive localization scheduling: methods, tuning knobs and the selector.
 
 The strategy keeps an exponentially weighted moving average (EWMA) of the
 observed velocity, picks the localization method with the lowest energy
@@ -9,24 +9,22 @@ accumulated distance estimate exhausts that budget.
 An epoch starts at a fix and ends at the next one. The epoch sampling
 interval ``t_s`` is frozen when the epoch begins; velocity is re-sampled
 every ``t_s * beta`` seconds and each sample advances the distance
-estimate by ``v_e * t_s * beta``.
+estimate by ``v_e * t_s * beta``. The event loop that does this is
+:func:`locsim.simulator.run`; this module holds what it is configured with
+and the method selector it calls at every fix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .errors import ConfigError, InvalidStateError
+from .errors import ConfigError
 
 __all__ = [
     "Method",
     "StrategyConfig",
-    "SchedulerState",
-    "SampleAgainAt",
-    "FixNowAt",
-    "FixDecision",
     "DEFAULT_METHODS_TEXT",
     "DEFAULT_METHODS",
     "parse_methods",
@@ -35,9 +33,6 @@ __all__ = [
     "cost_rate",
     "select_method",
     "most_accurate_method",
-    "begin_epoch",
-    "on_velocity_sample",
-    "on_requirement_change",
 ]
 
 # Accumulated-estimate sums within one part in 1e12 of the budget count as
@@ -57,10 +52,10 @@ class Method:
     def __post_init__(self) -> None:
         if not self.name or any(c in self.name for c in ":;,"):
             raise ConfigError(f"invalid method name {self.name!r}")
-        if self.accuracy_m <= 0:
-            raise ConfigError(f"method {self.name}: accuracy_m must be > 0")
-        if self.energy_mJ <= 0:
-            raise ConfigError(f"method {self.name}: energy_mJ must be > 0")
+        if not (math.isfinite(self.accuracy_m) and self.accuracy_m > 0):
+            raise ConfigError(f"method {self.name}: accuracy_m must be finite and > 0")
+        if not (math.isfinite(self.energy_mJ) and self.energy_mJ > 0):
+            raise ConfigError(f"method {self.name}: energy_mJ must be finite and > 0")
 
 
 DEFAULT_METHODS_TEXT = "gps:10:1425;wifi:50:545;gsm:150:20"
@@ -119,30 +114,14 @@ class StrategyConfig:
         _check_alpha(self.alpha)
         if not (0 < self.beta <= 1):
             raise ConfigError(f"beta must satisfy 0 < beta <= 1, got {self.beta!r}")
-        if self.t_min_refix_s <= 0:
-            raise ConfigError(f"t_min_refix_s must be > 0, got {self.t_min_refix_s!r}")
+        if not (math.isfinite(self.t_min_refix_s) and self.t_min_refix_s > 0):
+            raise ConfigError(f"t_min_refix_s must be finite and > 0, got {self.t_min_refix_s!r}")
         if not self.methods:
             raise ConfigError("method set is empty")
         names = [m.name for m in self.methods]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate method names")
         object.__setattr__(self, "methods", tuple(self.methods))
-
-
-class SampleAgainAt(NamedTuple):
-    """Keep the epoch open; sample velocity again at ``time_s``."""
-
-    time_s: float
-
-
-class FixNowAt(NamedTuple):
-    """Perform a fix at ``time_s`` with ``method``."""
-
-    time_s: float
-    method: Method
-
-
-FixDecision = Union[SampleAgainAt, FixNowAt]
 
 
 def _check_alpha(alpha: float) -> None:
@@ -170,24 +149,29 @@ def cost_rate(method: Method, a_t: float, v_e: float) -> float:
 
 
 def select_method(methods: Sequence[Method], a_t: float, v_e: float) -> Optional[Method]:
-    """Pick the eligible method with the lowest cost rate.
+    """Pick the eligible method with the lowest :func:`cost_rate`.
 
     Ties break on smaller accuracy_m, then lexicographic name. Returns
     None when no method is eligible (the caller falls back to periodic
     re-fixing with the most accurate method). The choice is independent
-    of v_e > 0, which scales every rate equally.
+    of v_e > 0, which scales every rate equally, up to rounding.
     """
     if not methods:
         raise ConfigError("method set is empty")
     best: Optional[Method] = None
-    best_key: tuple[float, float, str] | None = None
+    best_rate = math.inf  # an infinite rate is never chosen, as for ineligible methods
     for m in methods:
-        rate = cost_rate(m, a_t, v_e)
-        if rate == math.inf:
+        acc = m.accuracy_m
+        if acc >= a_t:
             continue
-        key = (rate, m.accuracy_m, m.name)
-        if best_key is None or key < best_key:
-            best, best_key = m, key
+        # cost_rate(m, a_t, v_e), inlined: this runs once per fix.
+        rate = m.energy_mJ / ((a_t - acc) / v_e)
+        if rate < best_rate or (
+            rate == best_rate
+            and best is not None
+            and (acc, m.name) < (best.accuracy_m, best.name)
+        ):
+            best, best_rate = m, rate
     return best
 
 
@@ -195,125 +179,3 @@ def most_accurate_method(methods: Sequence[Method]) -> Method:
     if not methods:
         raise ConfigError("method set is empty")
     return min(methods, key=lambda m: (m.accuracy_m, m.name))
-
-
-@dataclass(slots=True)
-class SchedulerState:
-    """Mutable scheduler state, owned by a single simulation run.
-
-    v_e persists across epochs; it is None only before the first-ever fix,
-    which initializes it to the first velocity sample. budget_m <= 0 marks
-    the fallback regime (periodic forced re-fixes, no sampling).
-    """
-
-    v_e: Optional[float] = None
-    r_i: float = 0.0
-    budget_m: float = 0.0
-    t_s: float = 0.0
-    last_fix_time: float = 0.0
-    current_method: Optional[Method] = None
-    epoch_requirement_m: float = 0.0
-    next_sample_time: float = math.inf
-    samples_this_epoch: int = 0
-
-
-def begin_epoch(
-    state: SchedulerState,
-    t_fix: float,
-    a_t: float,
-    v_sample: float,
-    cfg: StrategyConfig,
-) -> tuple[float, Method]:
-    """Start an epoch at the fix performed at ``t_fix``.
-
-    Folds the fix-time velocity sample into the EWMA, selects the method,
-    freezes the epoch interval t_s = (a_t - accuracy_m) / v_e, and returns
-    (next scheduled time, chosen method). In the fallback regime the
-    returned time is a forced re-fix at t_fix + t_min_refix_s instead of a
-    velocity sample.
-    """
-    if a_t <= 0:
-        raise ConfigError(f"accuracy requirement must be > 0, got {a_t!r}")
-    if state.v_e is None:
-        v_e = float(v_sample)
-    else:
-        v_e = ewma_update(state.v_e, v_sample, cfg.alpha)
-
-    method = select_method(cfg.methods, a_t, v_e)
-    if method is None:
-        method = most_accurate_method(cfg.methods)
-        budget = a_t - method.accuracy_m  # <= 0: fallback regime
-        t_s = cfg.t_min_refix_s
-        next_time = t_fix + cfg.t_min_refix_s
-    else:
-        budget = a_t - method.accuracy_m
-        t_s = budget / v_e
-        next_time = t_fix + t_s * cfg.beta
-
-    state.v_e = v_e
-    state.r_i = 0.0
-    state.budget_m = budget
-    state.t_s = t_s
-    state.last_fix_time = t_fix
-    state.current_method = method
-    state.epoch_requirement_m = a_t
-    state.next_sample_time = next_time
-    state.samples_this_epoch = 0
-    return next_time, method
-
-
-def on_velocity_sample(
-    state: SchedulerState,
-    t: float,
-    v_sample: float,
-    cfg: StrategyConfig,
-) -> FixDecision:
-    """Feed the scheduled velocity sample at ``t`` into the open epoch.
-
-    Updates the EWMA, advances the accumulated distance estimate by
-    v_e * t_s * beta, and either schedules the next sample or calls for a
-    fix right at this sample time once the estimate reaches the budget.
-    """
-    if state.current_method is None or state.v_e is None:
-        raise InvalidStateError("no epoch is open; call begin_epoch first")
-    if state.budget_m <= 0:
-        raise InvalidStateError("sampling is disabled in the fallback regime")
-    if t != state.next_sample_time:
-        raise InvalidStateError(
-            f"sample at t={t!r} but the scheduled time is {state.next_sample_time!r}"
-        )
-    v_e = cfg.alpha * v_sample + (1.0 - cfg.alpha) * state.v_e
-    state.v_e = v_e
-    step = state.t_s * cfg.beta
-    state.r_i += v_e * step
-    state.samples_this_epoch += 1
-    if state.r_i < state.budget_m * (1.0 - BUDGET_REL_TOL):
-        next_time = state.last_fix_time + (state.samples_this_epoch + 1) * step
-        state.next_sample_time = next_time
-        return SampleAgainAt(next_time)
-    state.next_sample_time = math.inf
-    return FixNowAt(t, state.current_method)
-
-
-def on_requirement_change(
-    state: SchedulerState,
-    t: float,
-    new_requirement_m: float,
-    cfg: StrategyConfig,
-) -> FixNowAt:
-    """React to the accuracy requirement changing at time ``t``.
-
-    Cancels any pending sample and calls for an immediate fix with the
-    method selected for the new requirement; the caller then starts the
-    new epoch via begin_epoch at the same instant (which, selection being
-    velocity-invariant, picks the same method).
-    """
-    if state.current_method is None or state.v_e is None:
-        raise InvalidStateError("no epoch is open; call begin_epoch first")
-    if new_requirement_m <= 0:
-        raise ConfigError(f"accuracy requirement must be > 0, got {new_requirement_m!r}")
-    method = select_method(cfg.methods, new_requirement_m, state.v_e)
-    if method is None:
-        method = most_accurate_method(cfg.methods)
-    state.next_sample_time = math.inf
-    return FixNowAt(t, method)

@@ -77,6 +77,18 @@ class TestSimulate:
         assert code == 2
         assert "velocity_cap" in err
 
+    def test_non_finite_method_accuracy_exits_2_without_traceback(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("methods = gps:nan:1425\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "locsim", "simulate", "--config", str(cfg)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "accuracy_m must be finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_event_log_written_and_deterministic(self, tmp_path, capsys):
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"

@@ -28,7 +28,7 @@ from locsim.simulator import (
     total_energy,
     SweepRow,
 )
-from locsim.strategy import DEFAULT_METHODS, StrategyConfig
+from locsim.strategy import DEFAULT_METHODS, Method, StrategyConfig
 
 GPS, WIFI, GSM = DEFAULT_METHODS
 
@@ -84,6 +84,27 @@ class TestAccuracySchedule:
     def test_negative_time_raises(self):
         with pytest.raises(ValueError):
             parse_schedule("0:500").requirement_at(-1.0)
+
+
+NON_FINITE_CONSTRUCTORS = {
+    "method.accuracy_m": lambda x: Method("gps", x, 1425.0),
+    "method.energy_mJ": lambda x: Method("gps", 10.0, x),
+    "strategy.alpha": lambda x: StrategyConfig(alpha=x, beta=1.0),
+    "strategy.beta": lambda x: StrategyConfig(alpha=0.5, beta=x),
+    "strategy.t_min_refix_s": lambda x: StrategyConfig(alpha=0.5, beta=1.0, t_min_refix_s=x),
+    "schedule.start": lambda x: AccuracySchedule(((0.0, 500.0), (x, 300.0))),
+    "schedule.requirement": lambda x: AccuracySchedule(((0.0, 500.0), (600.0, x))),
+    "mobility.v_min": lambda x: MobilityParams(duration_s=10, t1_s=3, v_min=x, v0=x),
+    "mobility.v_max": lambda x: MobilityParams(duration_s=10, t1_s=3, v_max=x),
+    "mobility.v0": lambda x: MobilityParams(duration_s=10, t1_s=3, v0=x),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", sorted(NON_FINITE_CONSTRUCTORS))
+def test_non_finite_numbers_rejected(field, value):
+    with pytest.raises(ConfigError):
+        NON_FINITE_CONSTRUCTORS[field](value)
 
 
 class TestRunClosedForm:

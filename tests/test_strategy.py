@@ -1,27 +1,37 @@
-"""Strategy layer: EWMA estimation, cost-rate selection, epoch state machine."""
+"""Strategy layer: EWMA estimation, cost-rate selection, epoch scheduling.
+
+The epoch behaviour (what a fix, a velocity sample and a requirement change
+do) lives in the event loop of ``locsim.simulator.run``, so those tests run
+it on constant or step velocity traces and read the event log.
+"""
 
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locsim.errors import ConfigError, InvalidStateError
+from locsim.errors import ConfigError
+from locsim.mobility import MobilityParams, MotionTrace
+from locsim.simulator import (
+    EVENT_FIX,
+    EVENT_SAMPLE,
+    EVENT_SCHEDULE_CHANGE,
+    SimulationConfig,
+    parse_schedule,
+    run,
+)
 from locsim.strategy import (
+    BUDGET_REL_TOL,
     DEFAULT_METHODS,
-    FixNowAt,
     Method,
-    SampleAgainAt,
-    SchedulerState,
     StrategyConfig,
-    begin_epoch,
     cost_rate,
     ewma_update,
     format_methods,
     most_accurate_method,
-    on_requirement_change,
-    on_velocity_sample,
     parse_methods,
     select_method,
 )
@@ -193,152 +203,132 @@ class TestSelectMethod:
         assert most_accurate_method(DEFAULT_METHODS) is GPS
 
 
-class TestBeginEpoch:
-    def test_first_fix_initializes_ewma_to_sample(self):
-        state = SchedulerState()
-        cfg = StrategyConfig(alpha=0.5, beta=1.0)
-        next_t, method = begin_epoch(state, 0.0, 500.0, 5.0, cfg)
-        assert state.v_e == 5.0
-        assert method is GSM
-        assert state.budget_m == 350.0
-        assert state.t_s == 70.0
-        assert next_t == 70.0
-        assert state.r_i == 0.0
+def step_trace_run(velocities, schedule="0:500", alpha=0.5, beta=1.0):
+    """Run over a trace that may change velocity every second (t1_s=1)."""
+    params = MobilityParams(duration_s=len(velocities), t1_s=1, v_min=1.0, v_max=10.0,
+                            v0=velocities[0], seed=0)
+    trace = MotionTrace(params, np.array(velocities, dtype=float))
+    cfg = SimulationConfig(params, StrategyConfig(alpha=alpha, beta=beta), parse_schedule(schedule))
+    return run(cfg, trace=trace)
 
-    def test_beta_scales_sampling_interval(self):
-        state = SchedulerState()
-        cfg = StrategyConfig(alpha=0.5, beta=0.5)
-        next_t, _ = begin_epoch(state, 0.0, 500.0, 5.0, cfg)
-        assert next_t == 35.0
+
+def fixes(result):
+    return [e for e in result.events if e.kind == EVENT_FIX]
+
+
+def samples(result):
+    return [e for e in result.events if e.kind == EVENT_SAMPLE]
+
+
+class TestBeginEpoch:
+    """An epoch begins at every fix: EWMA update, method choice, first sample time."""
+
+    def test_first_fix_initializes_ewma_to_sample(self, make_constant_config):
+        result = run(make_constant_config(v=5.0, duration=100))
+        first = result.events[0]
+        assert (first.kind, first.time_s, first.v_e_mps) == (EVENT_FIX, 0.0, 5.0)
+        assert first.method is GSM
+        # budget 500 - 150 = 350 m lasts t_s = 70 s at 5 m/s.
+        assert samples(result)[0].time_s == 70.0
+
+    def test_beta_scales_sampling_interval(self, make_constant_config):
+        result = run(make_constant_config(v=5.0, duration=100, beta=0.5))
+        assert samples(result)[0].time_s == 35.0
 
     def test_ewma_persists_across_epochs(self):
-        state = SchedulerState()
-        cfg = StrategyConfig(alpha=0.5, beta=1.0)
-        begin_epoch(state, 0.0, 500.0, 4.0, cfg)
-        begin_epoch(state, 70.0, 500.0, 8.0, cfg)
-        assert state.v_e == 6.0  # 0.5*8 + 0.5*4
+        # A change at t=10 forces a fix where the velocity has ramped to 8.
+        result = step_trace_run([4.0, 5.0, 6.0, 7.0] + [8.0] * 16, schedule="0:500,10:500")
+        change = next(e for e in result.events if e.kind == EVENT_SCHEDULE_CHANGE)
+        assert (change.time_s, change.v_e_mps) == (10.0, 4.0)
+        assert [(e.time_s, e.v_e_mps) for e in fixes(result)] == [(0.0, 4.0), (10.0, 6.0)]
 
-    def test_fallback_when_nothing_eligible(self):
-        state = SchedulerState()
-        cfg = StrategyConfig(alpha=0.5, beta=1.0, t_min_refix_s=1.0)
-        next_t, method = begin_epoch(state, 12.0, 10.0, 5.0, cfg)
-        assert method is GPS
-        assert state.budget_m <= 0.0
-        assert next_t == 13.0
+    def test_fallback_when_nothing_eligible(self, make_constant_config):
+        # From t=12 no method beats 10 m: gps re-fixes every t_min_refix_s.
+        result = run(make_constant_config(duration=16, requirement="0:500,12:10"))
+        late = [e for e in fixes(result) if e.time_s >= 12.0]
+        assert [e.time_s for e in late] == [12.0, 13.0, 14.0, 15.0]
+        assert all(e.method is GPS for e in late)
+        assert result.sample_count == 0
 
     def test_nonpositive_requirement_raises(self):
-        state = SchedulerState()
-        cfg = StrategyConfig(alpha=0.5, beta=1.0)
         with pytest.raises(ConfigError):
-            begin_epoch(state, 0.0, 0.0, 5.0, cfg)
+            parse_schedule("0:0")
 
 
 class TestOnVelocitySample:
-    def setup_state(self, beta=1.0, alpha=0.5, v=5.0, a_t=500.0):
-        state = SchedulerState()
-        cfg = StrategyConfig(alpha=alpha, beta=beta)
-        begin_epoch(state, 0.0, a_t, v, cfg)
-        return state, cfg
+    """Each sample folds into the EWMA and may exhaust the budget, calling a fix."""
 
-    def test_single_shot_fix_at_epoch_end(self):
-        state, cfg = self.setup_state(beta=1.0)
-        decision = on_velocity_sample(state, 70.0, 5.0, cfg)
-        assert decision == FixNowAt(70.0, GSM)
+    def test_single_shot_fix_at_epoch_end(self, make_constant_config):
+        result = run(make_constant_config(v=5.0, duration=100, beta=1.0))
+        at_70 = [(e.kind, e.method) for e in result.events if e.time_s == 70.0]
+        assert at_70 == [(EVENT_FIX, GSM), (EVENT_SAMPLE, None)]
 
-    def test_two_step_sampling(self):
-        state, cfg = self.setup_state(beta=0.5)
-        first = on_velocity_sample(state, 35.0, 5.0, cfg)
-        assert first == SampleAgainAt(70.0)
-        assert state.r_i == pytest.approx(175.0, abs=1e-9)
-        second = on_velocity_sample(state, 70.0, 5.0, cfg)
-        assert second == FixNowAt(70.0, GSM)
+    def test_two_step_sampling(self, make_constant_config):
+        result = run(make_constant_config(v=5.0, duration=100, beta=0.5))
+        assert [(e.time_s, e.kind) for e in result.events] == [
+            (0.0, EVENT_FIX),
+            (35.0, EVENT_SAMPLE),
+            (70.0, EVENT_FIX),
+            (70.0, EVENT_SAMPLE),
+        ]
 
     def test_velocity_increase_brings_fix_forward(self):
-        state, cfg = self.setup_state(beta=0.1, alpha=1.0)
-        t = state.next_sample_time
-        fixed_at = None
-        for _ in range(20):
-            decision = on_velocity_sample(state, t, 10.0, cfg)
-            if isinstance(decision, FixNowAt):
-                fixed_at = decision.time_s
-                break
-            t = decision.time_s
-        assert fixed_at is not None
-        assert fixed_at < 70.0  # faster than estimated: budget gone sooner
+        result = step_trace_run([5.0, 6.0, 7.0, 8.0, 9.0] + [10.0] * 95, alpha=1.0, beta=0.1)
+        assert fixes(result)[1].time_s < 70.0  # faster than estimated: budget gone sooner
 
     def test_accumulator_is_monotone(self):
+        # Rebuild the distance estimate from the log: it grows with every
+        # sample and the fix comes at the first sample that exhausts it.
         rng = random.Random(1)
-        state, cfg = self.setup_state(beta=0.1)
-        t = state.next_sample_time
-        last = 0.0
-        for _ in range(10):
-            decision = on_velocity_sample(state, t, rng.uniform(1, 10), cfg)
-            assert state.r_i >= last
-            last = state.r_i
-            if isinstance(decision, FixNowAt):
-                break
-            t = decision.time_s
+        v = [5.0]
+        while len(v) < 1500:
+            v.append(min(10.0, max(1.0, v[-1] + rng.choice((-1.0, 0.0, 1.0)))))
+        result = step_trace_run(v, beta=0.1)
+        fix_events, sample_events = fixes(result), samples(result)
+        for fix, nxt in zip(fix_events, fix_events[1:]):
+            room = 500.0 - fix.method.accuracy_m
+            step = room / fix.v_e_mps * 0.1
+            epoch = [e for e in sample_events if fix.time_s < e.time_s <= nxt.time_s]
+            assert epoch[-1].time_s == nxt.time_s
+            r_i = 0.0
+            for j, e in enumerate(epoch):
+                last = r_i
+                r_i += e.v_e_mps * step
+                assert r_i > last
+                assert (r_i >= room * (1.0 - BUDGET_REL_TOL)) == (j == len(epoch) - 1)
+        assert len(fix_events) > 10
 
     @pytest.mark.parametrize("v", [1.0, 3.0, 5.0, 7.0, 9.0, 10.0])
     @pytest.mark.parametrize("beta", [0.1, 0.25, 0.5, 1.0])
-    def test_constant_velocity_fix_time_is_budget_over_v(self, v, beta):
+    def test_constant_velocity_fix_time_is_budget_over_v(self, make_constant_config, v, beta):
         # Holds for every v including ones where budget/v rounds down (v=9).
-        state = SchedulerState()
-        cfg = StrategyConfig(alpha=0.5, beta=beta)
-        begin_epoch(state, 0.0, 500.0, v, cfg)
-        expected = (500.0 - state.current_method.accuracy_m) / v
-        samples = 0
-        t = state.next_sample_time
-        while True:
-            decision = on_velocity_sample(state, t, v, cfg)
-            samples += 1
-            if isinstance(decision, FixNowAt):
-                break
-            t = decision.time_s
-        assert decision.time_s == pytest.approx(expected, rel=1e-9)
-        assert samples == math.ceil(1.0 / beta)
+        result = run(make_constant_config(v=v, duration=1000, beta=beta))
+        first, second = fixes(result)[:2]
+        expected = (500.0 - first.method.accuracy_m) / v
+        assert second.time_s == pytest.approx(expected, rel=1e-9)
+        in_epoch = [e for e in samples(result) if e.time_s <= second.time_s]
+        assert len(in_epoch) == math.ceil(1.0 / beta)
 
-    def test_wrong_sample_time_raises(self):
-        state, cfg = self.setup_state()
-        with pytest.raises(InvalidStateError):
-            on_velocity_sample(state, 69.0, 5.0, cfg)
-
-    def test_without_open_epoch_raises(self):
-        cfg = StrategyConfig(alpha=0.5, beta=1.0)
-        with pytest.raises(InvalidStateError):
-            on_velocity_sample(SchedulerState(), 1.0, 5.0, cfg)
-
-    def test_sampling_in_fallback_regime_raises(self):
-        state = SchedulerState()
-        cfg = StrategyConfig(alpha=0.5, beta=1.0)
-        begin_epoch(state, 0.0, 10.0, 5.0, cfg)  # fallback: nothing eligible
-        with pytest.raises(InvalidStateError):
-            on_velocity_sample(state, state.next_sample_time, 5.0, cfg)
+    def test_no_sampling_in_fallback_regime(self, make_constant_config):
+        result = run(make_constant_config(duration=50, requirement="0:10"))
+        assert result.sample_count == 0
+        assert result.fix_count == 50
 
 
 class TestOnRequirementChange:
-    def test_selects_method_for_new_requirement(self):
-        state = SchedulerState()
-        cfg = StrategyConfig(alpha=0.5, beta=1.0)
-        begin_epoch(state, 0.0, 500.0, 5.0, cfg)
-        decision = on_requirement_change(state, 600.0, 50.0, cfg)
-        assert decision == FixNowAt(600.0, GPS)
+    """A requirement change forces a fix with the method chosen for it."""
 
-    def test_cancels_pending_sample(self):
-        state = SchedulerState()
-        cfg = StrategyConfig(alpha=0.5, beta=1.0)
-        begin_epoch(state, 0.0, 500.0, 5.0, cfg)
-        on_requirement_change(state, 30.0, 300.0, cfg)
-        assert state.next_sample_time == math.inf
+    def test_selects_method_for_new_requirement(self, make_constant_config):
+        result = run(make_constant_config(v=5.0, duration=700, requirement="0:500,600:50"))
+        at_600 = [(e.kind, e.method) for e in result.events if e.time_s == 600.0]
+        assert at_600 == [(EVENT_SCHEDULE_CHANGE, None), (EVENT_FIX, GPS)]
 
-    def test_requires_open_epoch(self):
-        cfg = StrategyConfig(alpha=0.5, beta=1.0)
-        with pytest.raises(InvalidStateError):
-            on_requirement_change(SchedulerState(), 10.0, 100.0, cfg)
+    def test_cancels_pending_sample(self, make_constant_config):
+        # The sample due at 70 s is dropped; the new epoch (gsm, 150 m of
+        # room at 5 m/s) samples first at 30 + 30 s.
+        result = run(make_constant_config(v=5.0, duration=100, requirement="0:500,30:300"))
+        assert [e.time_s for e in samples(result)] == [60.0, 90.0]
 
     def test_rejects_nonpositive_requirement(self):
-        state = SchedulerState()
-        cfg = StrategyConfig(alpha=0.5, beta=1.0)
-        begin_epoch(state, 0.0, 500.0, 5.0, cfg)
         with pytest.raises(ConfigError):
-            on_requirement_change(state, 10.0, -3.0, cfg)
+            parse_schedule("0:500,10:-3")
