@@ -34,8 +34,13 @@ from .mobility import (
     positions_at,
     times_at_positions,
 )
-from . import strategy
-from .strategy import BUDGET_REL_TOL, Method, StrategyConfig, most_accurate_method
+from .strategy import (
+    BUDGET_REL_TOL,
+    Method,
+    StrategyConfig,
+    begin_epoch,
+    on_velocity_sample,
+)
 
 __all__ = [
     "AccuracySchedule",
@@ -198,6 +203,20 @@ class RunResult:
     events: tuple[Event, ...]
 
 
+def on_requirement_change(
+    entries: Sequence[tuple[float, float]], i: int
+) -> tuple[float, float]:
+    """Schedule entry ``i`` comes into force (entry 0 when a run starts).
+
+    Returns its requirement and the start of the next entry, ``math.inf``
+    after the last one.
+    """
+    a_t = entries[i][1]
+    if a_t <= 0:
+        raise ConfigError(f"accuracy requirement must be > 0, got {a_t!r}")
+    return a_t, entries[i + 1][0] if i + 1 < len(entries) else math.inf
+
+
 def run(
     config: SimulationConfig,
     *,
@@ -212,14 +231,16 @@ def run(
     is unchanged.
 
     The scheduler is one loop over Python floats, one epoch per outer
-    iteration. Each fix folds the velocity at its instant into the EWMA
-    ``v_e`` (the first fix sets ``v_e`` to it), selects the method and
-    opens an epoch with room ``requirement - accuracy_m``. A positive room
-    is sampled every ``step = t_s * beta`` seconds, ``t_s = room / v_e``;
-    each sample folds its velocity into ``v_e`` and adds ``v_e * step`` to
-    the distance estimate ``r_i``, and the sample at which ``r_i`` reaches
-    the room calls for a fix at that same instant. A room <= 0 (no method
-    beats the requirement) re-fixes every ``t_min_refix_s`` instead.
+    iteration. Each fix opens an epoch with
+    :func:`~locsim.strategy.begin_epoch`, which folds the velocity at the
+    fix into the EWMA ``v_e`` and selects the method. A positive room
+    (requirement minus method accuracy) is sampled every ``t_s * beta``
+    seconds. Each sample goes through
+    :func:`~locsim.strategy.on_velocity_sample`, and the sample at which
+    the distance estimate ``r_i`` reaches the room calls for a fix at that
+    same instant. A room <= 0 (no method beats the requirement) re-fixes
+    every ``t_min_refix_s`` instead. At each change of the requirement
+    :func:`on_requirement_change` moves to the next schedule entry.
     """
     if trace is None:
         trace = generate_trace(config.mobility)
@@ -228,17 +249,13 @@ def run(
 
     cfg = config.strategy_cfg
     pinned = config.pinned_method()
-    methods = cfg.methods if pinned is None else (pinned,)
-    # Looked up per run, not per fix, so a replaced module attribute is seen.
-    select_method = strategy.select_method
+    if pinned is not None:
+        cfg = replace(cfg, methods=(pinned,))
     entries = config.schedule.entries
-    change_after = config.schedule.change_times() + (math.inf,)  # next change once entry i holds
     duration = float(config.mobility.duration_s)
     vel = trace.velocity_list  # every event index int(t) is < duration, so in range
     alpha = cfg.alpha
-    keep = 1.0 - alpha
     beta = cfg.beta
-    t_refix = cfg.t_min_refix_s
     near = 1.0 - BUDGET_REL_TOL
 
     events: list[Event] = []
@@ -249,14 +266,14 @@ def run(
     trigger: Optional[Event] = None  # a sample calling for a fix is logged after that fix
 
     si = 0  # index of the schedule entry in force
-    change_t = change_after[0]
+    a_t, change_t = on_requirement_change(entries, si)
     bound = min(change_t, duration)
     t = 0.0
-    v = v_e = vel[0]
+    v = vel[0]
+    v_e: Optional[float] = None
     while True:
-        # A fix at t; v is the velocity at t, already folded into v_e.
-        a_t = entries[si][1]
-        method = select_method(methods, a_t, v_e) or most_accurate_method(methods)
+        # A fix at t; v is the velocity at t.
+        v_e, method, t_s, wait = begin_epoch(cfg, a_t, v, v_e)
         room = a_t - method.accuracy_m
         energy += method.energy_mJ
         fix_times.append(t)
@@ -271,17 +288,15 @@ def run(
 
         # Find the next event: a fix (fix_due), else a change or the horizon.
         fix_due = False
+        t_next = t + wait
         if room > 0.0:
-            t_s = room / v_e
             step = t_s * beta
             limit = room * near
             r_i = 0.0
             n = 0  # samples taken in this epoch
-            t_next = t + step
             while t_next < bound:
                 v = vel[int(t_next)]
-                v_e = alpha * v + keep * v_e
-                r_i += v_e * step
+                v_e, r_i = on_velocity_sample(v_e, r_i, v, alpha, step)
                 n += 1
                 if not r_i < limit:
                     fix_due = True
@@ -296,11 +311,9 @@ def run(
                     )
                 t_next = t + (n + 1) * step
             samples += n
-        else:
-            t_next = t + t_refix
-            if t_next < bound:
-                fix_due = True
-                v = vel[int(t_next)]
+        elif t_next < bound:
+            fix_due = True
+            v = vel[int(t_next)]
 
         if fix_due:
             t = t_next
@@ -314,11 +327,10 @@ def run(
                     Event(t, EVENT_SCHEDULE_CHANGE, None, None, position_at(trace, t), v, v_e)
                 )
             si += 1
-            change_t = change_after[si]
+            a_t, change_t = on_requirement_change(entries, si)
             bound = min(change_t, duration)
         else:
             break
-        v_e = alpha * v + keep * v_e
 
     satisfaction = _satisfaction_exact(
         np.array(fix_times, dtype=float), np.array(fix_rooms, dtype=float), trace

@@ -11,7 +11,8 @@ interval ``t_s`` is frozen when the epoch begins; velocity is re-sampled
 every ``t_s * beta`` seconds and each sample advances the distance
 estimate by ``v_e * t_s * beta``. The event loop that does this is
 :func:`locsim.simulator.run`; this module holds what it is configured with
-and the method selector it calls at every fix.
+and the steps it calls: :func:`begin_epoch` at every fix and
+:func:`on_velocity_sample` at every sample.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ __all__ = [
     "cost_rate",
     "select_method",
     "most_accurate_method",
+    "begin_epoch",
+    "on_velocity_sample",
 ]
 
 # Accumulated-estimate sums within one part in 1e12 of the budget count as
@@ -149,7 +152,7 @@ def cost_rate(method: Method, a_t: float, v_e: float) -> float:
 
 
 def select_method(methods: Sequence[Method], a_t: float, v_e: float) -> Optional[Method]:
-    """Pick the eligible method with the lowest :func:`cost_rate`.
+    """Pick the eligible method with the lowest cost rate.
 
     Ties break on smaller accuracy_m, then lexicographic name. Returns
     None when no method is eligible (the caller falls back to periodic
@@ -159,19 +162,14 @@ def select_method(methods: Sequence[Method], a_t: float, v_e: float) -> Optional
     if not methods:
         raise ConfigError("method set is empty")
     best: Optional[Method] = None
-    best_rate = math.inf  # an infinite rate is never chosen, as for ineligible methods
+    best_key: tuple[float, float, str] | None = None
     for m in methods:
-        acc = m.accuracy_m
-        if acc >= a_t:
+        rate = cost_rate(m, a_t, v_e)
+        if rate == math.inf:
             continue
-        # cost_rate(m, a_t, v_e), inlined: this runs once per fix.
-        rate = m.energy_mJ / ((a_t - acc) / v_e)
-        if rate < best_rate or (
-            rate == best_rate
-            and best is not None
-            and (acc, m.name) < (best.accuracy_m, best.name)
-        ):
-            best, best_rate = m, rate
+        key = (rate, m.accuracy_m, m.name)
+        if best_key is None or key < best_key:
+            best, best_key = m, key
     return best
 
 
@@ -179,3 +177,42 @@ def most_accurate_method(methods: Sequence[Method]) -> Method:
     if not methods:
         raise ConfigError("method set is empty")
     return min(methods, key=lambda m: (m.accuracy_m, m.name))
+
+
+def begin_epoch(
+    cfg: StrategyConfig, a_t: float, v: float, v_e: Optional[float]
+) -> tuple[float, Method, float, float]:
+    """Open the epoch that starts at a fix under requirement ``a_t``.
+
+    Folds the fix-time velocity ``v`` into the EWMA ``v_e`` (None before
+    the first fix, which sets it to ``v``) and selects the method. Returns
+    (v_e, method, t_s, wait): the epoch interval t_s = (a_t - accuracy_m) /
+    v_e, sampled every t_s * beta seconds, and the wait from the fix to the
+    first sample, t_s * beta. When :func:`select_method` finds no method
+    (none beats ``a_t``, or every cost rate overflows), the most accurate
+    method is used with t_s = wait = t_min_refix_s. Its room a_t -
+    accuracy_m is then <= 0, unless the rates overflowed; a room <= 0
+    re-fixes after the wait instead of sampling.
+    """
+    if a_t <= 0:
+        raise ConfigError(f"accuracy requirement must be > 0, got {a_t!r}")
+    v_e = v if v_e is None else ewma_update(v_e, v, cfg.alpha)
+    method = select_method(cfg.methods, a_t, v_e)
+    if method is None:
+        return v_e, most_accurate_method(cfg.methods), cfg.t_min_refix_s, cfg.t_min_refix_s
+    t_s = (a_t - method.accuracy_m) / v_e
+    return v_e, method, t_s, t_s * cfg.beta
+
+
+def on_velocity_sample(
+    v_e: float, r_i: float, v: float, alpha: float, step: float
+) -> tuple[float, float]:
+    """Fold the velocity sample ``v`` into the EWMA and advance the estimate.
+
+    Returns (v_e, r_i): the EWMA after ``v`` and the distance estimate
+    after ``v_e * step`` more metres, ``step`` being the sampling interval.
+    """
+    # ewma_update without its alpha check (StrategyConfig made it): this
+    # runs once per sample.
+    v_e = alpha * v + (1.0 - alpha) * v_e
+    return v_e, r_i + v_e * step

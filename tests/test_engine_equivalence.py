@@ -75,11 +75,36 @@ def test_paper_ensemble_cells_match_reference(refsim):
         )
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"methods": "gps:10:1e308", "schedule": "0:10.5"},
+        {
+            "methods": "gps:10:1e308;gsm:150:20",
+            "schedule": "0:10.5,100:500,200:10.25",
+            "beta": 0.3,
+            "t_min_refix_s": 2.0,
+            "duration_s": 300,
+        },
+    ],
+)
+def test_overflowing_cost_rates_match_reference(refsim, values):
+    # gps beats the requirement but its cost rate overflows to inf, so no
+    # method is selected: gps is used with t_s = t_min_refix_s, and its
+    # positive room is sampled rather than re-fixed periodically.
+    ours, ref = both_configs(refsim, values)
+    got, want = run(ours), refsim.simulator.run(ref)
+    assert outcome(got) == outcome(want)
+    assert event_tuples(got) == event_tuples(want)
+    assert got.sample_count > 0
+
+
 # Accuracies sit on half-metres and requirements on whole metres, so every
 # room is either <= 0 (the fallback regime) or at least 0.5 m and a drawn
-# run stays small.
+# run stays small. An energy of 1e308 makes small rooms' cost rates
+# overflow to inf.
 methods_st = st.lists(
-    st.tuples(st.integers(1, 200), st.integers(1, 2000)), min_size=1, max_size=4
+    st.tuples(st.integers(1, 200), st.integers(1, 2000) | st.just(1e308)), min_size=1, max_size=4
 ).map(lambda ms: ";".join(f"m{i}:{acc + 0.5!r}:{e!r}" for i, (acc, e) in enumerate(ms)))
 
 

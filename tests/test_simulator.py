@@ -69,8 +69,9 @@ class TestAccuracySchedule:
             AccuracySchedule(((5.0, 100.0),))
         with pytest.raises(ConfigError):
             AccuracySchedule(((0.0, 100.0), (0.0, 50.0)))
-        with pytest.raises(ConfigError):
-            AccuracySchedule(((0.0, -1.0),))
+        for bad in (((0.0, -1.0),), ((0.0, 0.0),), ((0.0, 500.0), (10.0, -3.0))):
+            with pytest.raises(ConfigError):
+                AccuracySchedule(bad)
 
     def test_parse_format_roundtrip(self):
         text = "0:500,600:300,1200:150"

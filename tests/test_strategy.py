@@ -1,8 +1,9 @@
 """Strategy layer: EWMA estimation, cost-rate selection, epoch scheduling.
 
 The epoch behaviour (what a fix, a velocity sample and a requirement change
-do) lives in the event loop of ``locsim.simulator.run``, so those tests run
-it on constant or step velocity traces and read the event log.
+do) is driven by the event loop of ``locsim.simulator.run``, so most of
+those tests run it on constant or step velocity traces and read the event
+log.
 """
 
 import math
@@ -20,6 +21,7 @@ from locsim.simulator import (
     EVENT_SAMPLE,
     EVENT_SCHEDULE_CHANGE,
     SimulationConfig,
+    on_requirement_change,
     parse_schedule,
     run,
 )
@@ -28,10 +30,12 @@ from locsim.strategy import (
     DEFAULT_METHODS,
     Method,
     StrategyConfig,
+    begin_epoch,
     cost_rate,
     ewma_update,
     format_methods,
     most_accurate_method,
+    on_velocity_sample,
     parse_methods,
     select_method,
 )
@@ -250,13 +254,24 @@ class TestBeginEpoch:
         assert all(e.method is GPS for e in late)
         assert result.sample_count == 0
 
+    def test_overflowing_cost_rates_fall_back_to_refix_interval(self):
+        # gps beats 10.5 m, but 1e308 mJ over 0.5 m of room overflows to inf.
+        gps = Method("gps", 10.0, 1e308)
+        cfg = StrategyConfig(alpha=0.5, beta=0.3, methods=(gps,), t_min_refix_s=2.0)
+        assert begin_epoch(cfg, 10.5, 5.0, None) == (5.0, gps, 2.0, 2.0)
+
     def test_nonpositive_requirement_raises(self):
-        with pytest.raises(ConfigError):
-            parse_schedule("0:0")
+        for a_t in (0.0, -3.0):
+            with pytest.raises(ConfigError):
+                begin_epoch(StrategyConfig(alpha=0.5, beta=1.0), a_t, 5.0, 5.0)
 
 
 class TestOnVelocitySample:
     """Each sample folds into the EWMA and may exhaust the budget, calling a fix."""
+
+    def test_folds_sample_then_advances_estimate(self):
+        # EWMA 0.5 * 16 + 0.5 * 2 = 9 m/s, then 9 m/s over a 10 s step.
+        assert on_velocity_sample(2.0, 1.0, 16.0, 0.5, 10.0) == (9.0, 91.0)
 
     def test_single_shot_fix_at_epoch_end(self, make_constant_config):
         result = run(make_constant_config(v=5.0, duration=100, beta=1.0))
@@ -330,5 +345,7 @@ class TestOnRequirementChange:
         assert [e.time_s for e in samples(result)] == [60.0, 90.0]
 
     def test_rejects_nonpositive_requirement(self):
+        entries = ((0.0, 500.0), (10.0, -3.0))
+        assert on_requirement_change(entries, 0) == (500.0, 10.0)
         with pytest.raises(ConfigError):
-            parse_schedule("0:500,10:-3")
+            on_requirement_change(entries, 1)
