@@ -8,9 +8,8 @@ in either direction is visible without opening the files.
 
 import argparse
 import sys
-from pathlib import Path
 
-from locsim.cli import FIGURE_CSV_HEADER, FIGURE_NAMES
+from locsim.cli import write_figures
 from locsim.config import DEFAULTS, build_simulation_config
 from locsim.simulator import figure_series
 
@@ -28,16 +27,8 @@ def main(argv=None) -> int:
         values["duration_s"] = args.duration
     base = build_simulation_config(values)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tables = figure_series(base)
-    for name in FIGURE_NAMES:
-        path = out_dir / f"{name}.csv"
-        lines = [FIGURE_CSV_HEADER]
-        lines.extend(
-            f"{beta:.6f},{gps:.6f},{ours:.6f}" for beta, gps, ours in tables[name]
-        )
-        path.write_text("\n".join(lines) + "\n")
+    for path in write_figures(tables, args.out):
         print(f"wrote {path}")
 
     print("\nbeta   energy ours/gps (a=.5, a=.3)   satisfaction ours-gps (a=.5, a=.3)")

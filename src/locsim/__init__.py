@@ -14,9 +14,6 @@ from .mobility import (
     generate_trace,
     next_acceleration,
     position_at,
-    read_trace_csv,
-    velocity_at,
-    write_trace_csv,
 )
 from .simulator import (
     AccuracySchedule,
@@ -27,10 +24,8 @@ from .simulator import (
     figure_series,
     parse_schedule,
     run,
-    satisfaction_degree,
     sweep,
     sweep_means,
-    total_energy,
 )
 from .strategy import (
     DEFAULT_METHODS,
@@ -51,10 +46,7 @@ __all__ = [
     "MotionTrace",
     "generate_trace",
     "next_acceleration",
-    "velocity_at",
     "position_at",
-    "write_trace_csv",
-    "read_trace_csv",
     "Method",
     "StrategyConfig",
     "DEFAULT_METHODS",
@@ -68,8 +60,6 @@ __all__ = [
     "Event",
     "RunResult",
     "run",
-    "total_energy",
-    "satisfaction_degree",
     "SweepRow",
     "sweep",
     "sweep_means",

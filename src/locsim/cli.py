@@ -35,7 +35,7 @@ from .simulator import (
     write_summary_csv,
 )
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "write_figures"]
 
 FIGURE_CSV_HEADER = "beta,gps_value,ours_value"
 FIGURE_NAMES = ("fig2", "fig3", "fig4", "fig5")
@@ -148,12 +148,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_reproduce_figures(args: argparse.Namespace) -> int:
-    values = _resolved(args, {"duration": "duration_s"})
-    base = build_simulation_config(values)
-    out_dir = Path(args.out)
+def write_figures(tables: dict[str, list[tuple[float, float, float]]], out_dir) -> list[Path]:
+    """Write the fig2..fig5 tables of :func:`figure_series` as CSVs in ``out_dir``.
+
+    Creates ``out_dir`` if needed and returns the paths written, in order.
+    """
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tables = figure_series(base)
+    paths = []
     for name in FIGURE_NAMES:
         path = out_dir / f"{name}.csv"
         lines = [FIGURE_CSV_HEADER]
@@ -162,6 +164,14 @@ def cmd_reproduce_figures(args: argparse.Namespace) -> int:
             for beta, gps_value, ours_value in tables[name]
         )
         path.write_text("\n".join(lines) + "\n")
+        paths.append(path)
+    return paths
+
+
+def cmd_reproduce_figures(args: argparse.Namespace) -> int:
+    values = _resolved(args, {"duration": "duration_s"})
+    base = build_simulation_config(values)
+    for path in write_figures(figure_series(base), args.out):
         sys.stderr.write(f"wrote {path}\n")
     return 0
 

@@ -15,8 +15,6 @@ across runs and machines for a given seed.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -30,19 +28,13 @@ __all__ = [
     "MotionTrace",
     "next_acceleration",
     "generate_trace",
-    "velocity_at",
     "position_at",
     "positions_at",
     "times_at_positions",
-    "trace_to_csv",
-    "write_trace_csv",
-    "parse_trace_csv",
-    "read_trace_csv",
 ]
 
-TRACE_CSV_HEADER = "t_s,velocity_mps"
-
-# Steps of +-1 m/s survive 6-decimal CSV rounding with at most this much slack.
+# Velocities are v0 + k for integer k, so a step of +-1 m/s between seconds
+# can differ from 1 by float rounding; allow this much slack.
 _STEP_SLACK = 2e-6
 
 
@@ -155,23 +147,10 @@ def generate_trace(params: MobilityParams) -> MotionTrace:
     return MotionTrace(params=params, velocities=v)
 
 
-def _check_time(trace: MotionTrace, t: float) -> None:
-    if not (0 <= t <= trace.params.duration_s):
-        raise ValueError(f"t={t!r} outside [0, {trace.params.duration_s}]")
-
-
-def velocity_at(trace: MotionTrace, t: float) -> float:
-    """Velocity at time t (seconds); t == duration_s reads the last entry."""
-    _check_time(trace, t)
-    k = int(t)
-    if k >= len(trace.velocities):
-        k = len(trace.velocities) - 1
-    return float(trace.velocities[k])
-
-
 def position_at(trace: MotionTrace, t: float) -> float:
     """Distance travelled over [0, t], exact for the piecewise-constant profile."""
-    _check_time(trace, t)
+    if not (0 <= t <= trace.params.duration_s):
+        raise ValueError(f"t={t!r} outside [0, {trace.params.duration_s}]")
     k = int(t)
     if k >= len(trace.velocities):
         k = len(trace.velocities) - 1
@@ -199,61 +178,3 @@ def times_at_positions(trace: MotionTrace, positions: np.ndarray) -> np.ndarray:
     k = np.clip(k, 0, len(v) - 1)
     t = k + (positions - cum[k]) / v[k]
     return np.minimum(t, duration)
-
-
-def _format_velocity(value: float) -> str:
-    text = f"{value:.6f}".rstrip("0").rstrip(".")
-    return text if text else "0"
-
-
-def trace_to_csv(trace: MotionTrace) -> str:
-    lines = [TRACE_CSV_HEADER]
-    lines.extend(f"{t},{_format_velocity(v)}" for t, v in enumerate(trace.velocities))
-    return "\n".join(lines) + "\n"
-
-
-def write_trace_csv(trace: MotionTrace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(trace_to_csv(trace))
-
-
-def parse_trace_csv(text: str, params: MobilityParams | None = None) -> MotionTrace:
-    """Rebuild a trace from CSV text.
-
-    Without explicit ``params`` a permissive parameter set is inferred from
-    the data (t1_s=1, bounds from the observed velocities, seed 0).
-    """
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ConfigError("empty trace CSV") from None
-    if [h.strip() for h in header] != TRACE_CSV_HEADER.split(","):
-        raise ConfigError(f"unexpected trace CSV header {header!r}")
-    velocities: list[float] = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ConfigError(f"malformed trace CSV row {row!r}")
-        t, v = row
-        if int(t) != len(velocities):
-            raise ConfigError(f"trace CSV rows out of order at t={t}")
-        velocities.append(float(v))
-    if not velocities:
-        raise ConfigError("trace CSV holds no rows")
-    if params is None:
-        params = MobilityParams(
-            duration_s=len(velocities),
-            t1_s=1,
-            v_min=float(min(velocities)),
-            v_max=float(max(velocities)),
-            v0=float(velocities[0]),
-            seed=0,
-        )
-    return MotionTrace(params=params, velocities=np.array(velocities, dtype=float))
-
-
-def read_trace_csv(path, params: MobilityParams | None = None) -> MotionTrace:
-    with open(path, "r", newline="") as fh:
-        return parse_trace_csv(fh.read(), params)

@@ -16,12 +16,9 @@ piece; no time discretization is involved.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -45,7 +42,6 @@ from .strategy import (
 __all__ = [
     "AccuracySchedule",
     "parse_schedule",
-    "format_schedule",
     "SimulationConfig",
     "Event",
     "EVENT_FIX",
@@ -53,8 +49,6 @@ __all__ = [
     "EVENT_SCHEDULE_CHANGE",
     "RunResult",
     "run",
-    "total_energy",
-    "satisfaction_degree",
     "SweepRow",
     "SweepMean",
     "sweep",
@@ -65,14 +59,10 @@ __all__ = [
     "EVENT_CSV_HEADER",
     "summary_to_csv",
     "write_summary_csv",
-    "parse_summary_csv",
-    "read_summary_csv",
     "means_to_csv",
     "write_mean_csv",
     "events_to_csv",
     "write_events_csv",
-    "parse_events_csv",
-    "read_events_csv",
 ]
 
 EVENT_FIX = "fix"
@@ -94,7 +84,6 @@ class AccuracySchedule:
     """
 
     entries: tuple[tuple[float, float], ...]
-    starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         entries = tuple((float(s), float(r)) for s, r in self.entries)
@@ -112,15 +101,6 @@ class AccuracySchedule:
             if r <= 0:
                 raise ConfigError(f"requirement at t={s:g} must be > 0, got {r!r}")
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "starts", tuple(s for s, _ in entries))
-
-    def requirement_at(self, t: float) -> float:
-        if t < 0:
-            raise ValueError(f"t={t!r} is negative")
-        return self.entries[bisect_right(self.starts, t) - 1][1]
-
-    def change_times(self) -> tuple[float, ...]:
-        return tuple(s for s, _ in self.entries[1:])
 
 
 def parse_schedule(text: str) -> AccuracySchedule:
@@ -140,10 +120,6 @@ def parse_schedule(text: str) -> AccuracySchedule:
     if not entries:
         raise ConfigError("schedule is empty")
     return AccuracySchedule(tuple(entries))
-
-
-def format_schedule(schedule: AccuracySchedule) -> str:
-    return ",".join(f"{s:g}:{r:g}" for s, r in schedule.entries)
 
 
 @dataclass(frozen=True)
@@ -344,59 +320,22 @@ def run(
     )
 
 
-def total_energy(events: Iterable[Event]) -> float:
-    """Sum of per-fix energies; no standby or sampling cost is modelled."""
-    return float(math.fsum(e.energy_mJ for e in events if e.kind == EVENT_FIX))
-
-
-def satisfaction_degree(
-    events: Sequence[Event], trace: MotionTrace, schedule: AccuracySchedule
+def _satisfaction_exact(
+    span_start: np.ndarray, span_room: np.ndarray, trace: MotionTrace
 ) -> float:
     """Fraction of [0, duration] where uncertainty stays within the requirement.
 
-    Uncertainty at time t is (position(t) - position(last fix)) plus the
-    last fix's method accuracy; the boundary case (equality) counts as
-    satisfied. The event log must contain a fix at t=0. Unlike a log from
-    :func:`run`, a hand-built log may leave a requirement change without a
-    fix; the epoch around it is split there.
-    """
-    fixes = [(e.time_s, e.method.accuracy_m) for e in events if e.kind == EVENT_FIX and e.method]
-    if not fixes or fixes[0][0] != 0.0:
-        raise ValueError("event log must contain a fix at t=0")
-    fix_times = np.array([t for t, _ in fixes], dtype=float)
-    fix_accs = np.array([a for _, a in fixes], dtype=float)
-    starts = np.array(schedule.starts, dtype=float)
-    reqs = np.array([r for _, r in schedule.entries], dtype=float)
-    changes = starts[1:]
-    interior = changes[(changes < trace.params.duration_s) & ~np.isin(changes, fix_times)]
-    span_start = np.sort(np.concatenate((fix_times, interior)))
-    owner = np.searchsorted(fix_times, span_start, side="right") - 1
-    span_room = reqs[np.searchsorted(starts, span_start, side="right") - 1] - fix_accs[owner]
-    return _satisfaction_exact(
-        span_start, span_room, trace, positions_at(trace, fix_times)[owner]
-    )
-
-
-def _satisfaction_exact(
-    span_start: np.ndarray,
-    span_room: np.ndarray,
-    trace: MotionTrace,
-    span_pfix: Optional[np.ndarray] = None,
-) -> float:
-    """Exact satisfaction over spans with a constant room each.
-
-    Span i runs from ``span_start[i]`` to the next span's start (the last
-    one to the horizon). Its room is requirement minus fix accuracy, and
-    its uncertainty grows from the fix position ``span_pfix[i]``, by
-    default the position at the span start (every span opens with a fix).
+    Span i opens with a fix at ``span_start[i]`` (the first at t=0) and runs
+    to the next span's start, the last one to the horizon. Its room is the
+    requirement in force minus the fix's method accuracy. Time counts as
+    satisfied while the distance moved since the fix is at most the room,
+    equality included.
     """
     duration = float(trace.params.duration_s)
     if duration <= 0:
         return 1.0
     span_end = np.append(span_start[1:], duration)
-    if span_pfix is None:
-        span_pfix = positions_at(trace, span_start)
-    crossings = times_at_positions(trace, span_pfix + span_room)
+    crossings = times_at_positions(trace, positions_at(trace, span_start) + span_room)
     crossings = np.where(span_room < 0, span_start, crossings)
     crossings = np.clip(crossings, span_start, span_end)
     violated = float(np.sum(span_end - crossings))
@@ -549,40 +488,6 @@ def write_summary_csv(rows: Sequence[SweepRow], path) -> None:
         fh.write(summary_to_csv(rows))
 
 
-def parse_summary_csv(text: str) -> list[SweepRow]:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ConfigError("empty summary CSV") from None
-    if header != SUMMARY_CSV_HEADER.split(","):
-        raise ConfigError(f"unexpected summary CSV header {header!r}")
-    rows: list[SweepRow] = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 8:
-            raise ConfigError(f"malformed summary CSV row {row!r}")
-        rows.append(
-            SweepRow(
-                row[0],
-                float(row[1]),
-                float(row[2]),
-                int(row[3]),
-                float(row[4]),
-                float(row[5]),
-                int(row[6]),
-                int(row[7]),
-            )
-        )
-    return rows
-
-
-def read_summary_csv(path) -> list[SweepRow]:
-    with open(path, "r", newline="") as fh:
-        return parse_summary_csv(fh.read())
-
-
 def means_to_csv(means: Sequence[SweepMean]) -> str:
     lines = [MEAN_CSV_HEADER]
     for m in means:
@@ -614,43 +519,3 @@ def events_to_csv(events: Sequence[Event]) -> str:
 def write_events_csv(events: Sequence[Event], path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(events_to_csv(events))
-
-
-def parse_events_csv(text: str, methods: Sequence[Method]) -> tuple[Event, ...]:
-    by_name = {m.name: m for m in methods}
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ConfigError("empty event CSV") from None
-    if header != EVENT_CSV_HEADER.split(","):
-        raise ConfigError(f"unexpected event CSV header {header!r}")
-    events: list[Event] = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 7:
-            raise ConfigError(f"malformed event CSV row {row!r}")
-        t, kind, method_name, energy, pos, v, ve = row
-        method = None
-        if method_name:
-            if method_name not in by_name:
-                raise ConfigError(f"event CSV names unknown method {method_name!r}")
-            method = by_name[method_name]
-        events.append(
-            Event(
-                float(t),
-                kind,
-                method,
-                float(energy) if energy else None,
-                float(pos),
-                float(v),
-                float(ve) if ve else None,
-            )
-        )
-    return tuple(events)
-
-
-def read_events_csv(path, methods: Sequence[Method]) -> tuple[Event, ...]:
-    with open(path, "r", newline="") as fh:
-        return parse_events_csv(fh.read(), methods)

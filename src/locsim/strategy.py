@@ -29,7 +29,6 @@ __all__ = [
     "DEFAULT_METHODS_TEXT",
     "DEFAULT_METHODS",
     "parse_methods",
-    "format_methods",
     "ewma_update",
     "cost_rate",
     "select_method",
@@ -89,13 +88,6 @@ def parse_methods(text: str) -> tuple[Method, ...]:
     return tuple(methods)
 
 
-def format_methods(methods: Sequence[Method]) -> str:
-    def fmt(x: float) -> str:
-        return f"{x:g}"
-
-    return ";".join(f"{m.name}:{fmt(m.accuracy_m)}:{fmt(m.energy_mJ)}" for m in methods)
-
-
 DEFAULT_METHODS = parse_methods(DEFAULT_METHODS_TEXT)
 
 
@@ -114,7 +106,8 @@ class StrategyConfig:
     t_min_refix_s: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
+        if not (0 < self.alpha <= 1):
+            raise ConfigError(f"alpha must satisfy 0 < alpha <= 1, got {self.alpha!r}")
         if not (0 < self.beta <= 1):
             raise ConfigError(f"beta must satisfy 0 < beta <= 1, got {self.beta!r}")
         if not (math.isfinite(self.t_min_refix_s) and self.t_min_refix_s > 0):
@@ -127,14 +120,11 @@ class StrategyConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
 
 
-def _check_alpha(alpha: float) -> None:
-    if not (0 < alpha <= 1):
-        raise ConfigError(f"alpha must satisfy 0 < alpha <= 1, got {alpha!r}")
-
-
 def ewma_update(v_e_prev: float, v_new: float, alpha: float) -> float:
-    """One EWMA step: alpha weighs the fresh sample, 1-alpha the history."""
-    _check_alpha(alpha)
+    """One EWMA step: alpha weighs the fresh sample, 1-alpha the history.
+
+    ``alpha`` is not checked here: :class:`StrategyConfig` validates it once.
+    """
     return alpha * v_new + (1.0 - alpha) * v_e_prev
 
 
@@ -144,11 +134,18 @@ def cost_rate(method: Method, a_t: float, v_e: float) -> float:
     The error budget a_t - accuracy_m lasts (a_t - accuracy_m) / v_e
     seconds at estimated velocity v_e. Methods whose accuracy does not
     strictly beat the requirement get ``math.inf`` (the ineligible
-    sentinel, never an exception).
+    sentinel). A budget so small that those seconds underflow to 0 raises
+    :class:`ConfigError`.
     """
     if method.accuracy_m >= a_t:
         return math.inf
-    return method.energy_mJ / ((a_t - method.accuracy_m) / v_e)
+    seconds = (a_t - method.accuracy_m) / v_e
+    if seconds == 0.0:
+        raise ConfigError(
+            f"method {method.name}: the budget {a_t - method.accuracy_m!r} m under "
+            f"requirement {a_t!r} m lasts 0 s at {v_e!r} m/s (underflow)"
+        )
+    return method.energy_mJ / seconds
 
 
 def select_method(methods: Sequence[Method], a_t: float, v_e: float) -> Optional[Method]:
@@ -212,7 +209,5 @@ def on_velocity_sample(
     Returns (v_e, r_i): the EWMA after ``v`` and the distance estimate
     after ``v_e * step`` more metres, ``step`` being the sampling interval.
     """
-    # ewma_update without its alpha check (StrategyConfig made it): this
-    # runs once per sample.
-    v_e = alpha * v + (1.0 - alpha) * v_e
+    v_e = ewma_update(v_e, v, alpha)
     return v_e, r_i + v_e * step

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from locsim.errors import ConfigError
 
 SUMMARY_HEADER = "kind,alpha,beta,seed,total_energy_mJ,satisfaction,fix_count,sample_count"
 GOLDEN_SEED7_ROW = "adaptive,0.500000,1.000000,7,149185.000000,0.655144,230,322"
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
 
 
 def run_cli(capsys, *argv):
@@ -86,6 +88,19 @@ class TestSimulate:
         )
         assert proc.returncode == 2
         assert "accuracy_m must be finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_subnormal_budget_exits_2_without_traceback(self, tmp_path):
+        # The only budget, 1e-323 - 5e-324 m, lasts (5e-324 / 2) s: 0 after rounding.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("methods = a:5e-324:1\nschedule = 0:1e-323\nv0 = 2\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "locsim", "simulate", "--config", str(cfg)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "underflow" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
@@ -176,6 +191,22 @@ class TestReproduceFigures:
                 _, gps_s, ours_s = (float(x) for x in line.split(","))
                 assert 0.0 <= gps_s <= 1.0
                 assert 0.0 <= ours_s <= 1.0
+
+
+    def test_script_writes_the_same_figures(self, tmp_path, capsys):
+        cli_dir = tmp_path / "cli"
+        code, _, _ = run_cli(capsys, "reproduce-figures", "--duration", "120", "--out", str(cli_dir))
+        assert code == 0
+        script_dir = tmp_path / "script"
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPT), "--duration", "120", "--out", str(script_dir)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        for name in ("fig2", "fig3", "fig4", "fig5"):
+            assert (script_dir / f"{name}.csv").read_bytes() == (cli_dir / f"{name}.csv").read_bytes()
+        digest = proc.stdout.split("energy ours/gps", 1)[1].splitlines()[1:]
+        assert [row.split()[0] for row in digest] == [f"{0.1 * i:.1f}" for i in range(1, 11)]
 
 
 class TestEntryPoints:

@@ -11,13 +11,8 @@ from locsim.mobility import (
     MotionTrace,
     generate_trace,
     next_acceleration,
-    parse_trace_csv,
     position_at,
-    read_trace_csv,
     times_at_positions,
-    trace_to_csv,
-    velocity_at,
-    write_trace_csv,
 )
 
 
@@ -53,7 +48,7 @@ class TestMobilityParams:
         params = MobilityParams(duration_s=0, t1_s=1, v0=2.0)
         trace = generate_trace(params)
         assert list(trace.velocities) == [2.0]
-        assert velocity_at(trace, 0.0) == 2.0
+        assert trace.velocities[0] == 2.0
         assert position_at(trace, 0.0) == 0.0
 
 
@@ -162,28 +157,6 @@ class TestMotionTraceValidation:
             MotionTrace(params=params, velocities=np.array([2.0, 2.0]))
 
 
-class TestVelocityAt:
-    def test_constant_trace(self):
-        trace = make_trace([4.0] * 30)
-        assert velocity_at(trace, 17.3) == 4.0
-
-    def test_floor_semantics_at_change(self):
-        trace = make_trace([2.0, 2.0, 2.0, 3.0, 3.0], t1_s=3)
-        assert velocity_at(trace, 2.999) == 2.0
-        assert velocity_at(trace, 3.0) == 3.0
-
-    def test_duration_endpoint_reads_last_entry(self):
-        trace = make_trace([2.0, 2.0, 2.0, 3.0, 3.0], t1_s=3)
-        assert velocity_at(trace, 5.0) == 3.0
-
-    def test_out_of_range_raises(self):
-        trace = make_trace([2.0] * 3)
-        with pytest.raises(ValueError):
-            velocity_at(trace, -0.1)
-        with pytest.raises(ValueError):
-            velocity_at(trace, 3.0001)
-
-
 class TestPositionAt:
     def test_zero_at_zero(self):
         trace = make_trace([3.0] * 10)
@@ -246,37 +219,3 @@ class TestTimesAtPositions:
     def test_beyond_total_distance_caps_at_duration(self):
         trace = make_trace([2.0] * 10)
         assert times_at_positions(trace, np.array([1000.0]))[0] == 10.0
-
-
-class TestTraceCsv:
-    def test_header_and_format(self):
-        trace = make_trace([2.0, 2.0, 2.5], t1_s=1, v_min=1.0, v_max=10.0)
-        text = trace_to_csv(trace)
-        lines = text.splitlines()
-        assert lines[0] == "t_s,velocity_mps"
-        assert lines[1] == "0,2"
-        assert lines[3] == "2,2.5"
-
-    def test_roundtrip(self, tmp_path):
-        params = MobilityParams(duration_s=40, t1_s=3, v0=4.0, seed=12)
-        trace = generate_trace(params)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(trace, path)
-        back = read_trace_csv(path, params)
-        assert np.array_equal(back.velocities, trace.velocities)
-
-    def test_roundtrip_with_inferred_params(self, tmp_path):
-        params = MobilityParams(duration_s=25, t1_s=1, v0=2.0, seed=5)
-        trace = generate_trace(params)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(trace, path)
-        back = read_trace_csv(path)
-        assert np.array_equal(back.velocities, trace.velocities)
-
-    def test_rejects_bad_header(self):
-        with pytest.raises(ConfigError):
-            parse_trace_csv("time,speed\n0,1\n")
-
-    def test_rejects_out_of_order_rows(self):
-        with pytest.raises(ConfigError):
-            parse_trace_csv("t_s,velocity_mps\n1,2\n0,2\n")

@@ -1,5 +1,7 @@
-"""Simulation runs: event protocol, exact metrics, sweeps, CSV round trips."""
+"""Simulation runs: event protocol, exact metrics, sweeps, CSV output."""
 
+import csv
+import io
 import math
 import random
 
@@ -13,19 +15,16 @@ from locsim.simulator import (
     EVENT_SAMPLE,
     EVENT_SCHEDULE_CHANGE,
     AccuracySchedule,
-    Event,
+    SUMMARY_CSV_HEADER,
     SimulationConfig,
-    format_schedule,
-    parse_events_csv,
+    _satisfaction_exact,
+    on_requirement_change,
     parse_schedule,
-    parse_summary_csv,
     events_to_csv,
     run,
-    satisfaction_degree,
     summary_to_csv,
     sweep,
     sweep_means,
-    total_energy,
     SweepRow,
 )
 from locsim.strategy import DEFAULT_METHODS, Method, StrategyConfig
@@ -53,14 +52,15 @@ def grid_satisfaction(events, trace, schedule, step_ms=1):
 
 class TestAccuracySchedule:
     def test_requirement_is_left_closed(self):
-        sched = parse_schedule("0:500,600:300")
-        assert sched.requirement_at(599.999) == 500.0
-        assert sched.requirement_at(600.0) == 300.0
-        assert sched.requirement_at(10_000.0) == 300.0
+        # Entry 0 holds until the next start; the last one never ends.
+        entries = parse_schedule("0:500,600:300").entries
+        assert on_requirement_change(entries, 0) == (500.0, 600.0)
+        assert on_requirement_change(entries, 1) == (300.0, math.inf)
 
-    def test_change_times(self):
-        sched = parse_schedule("0:500,600:300,1200:150")
-        assert sched.change_times() == (600.0, 1200.0)
+    def test_change_times(self, make_constant_config):
+        result = run(make_constant_config(duration=1800, requirement="0:500,600:300,1200:150"))
+        changes = [e.time_s for e in result.events if e.kind == EVENT_SCHEDULE_CHANGE]
+        assert changes == [600.0, 1200.0]
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -73,18 +73,10 @@ class TestAccuracySchedule:
             with pytest.raises(ConfigError):
                 AccuracySchedule(bad)
 
-    def test_parse_format_roundtrip(self):
-        text = "0:500,600:300,1200:150"
-        assert format_schedule(parse_schedule(text)) == text
-
     def test_parse_rejects_garbage(self):
         for bad in ("", "0", "0:a", "x:1:2"):
             with pytest.raises(ConfigError):
                 parse_schedule(bad)
-
-    def test_negative_time_raises(self):
-        with pytest.raises(ValueError):
-            parse_schedule("0:500").requirement_at(-1.0)
 
 
 NON_FINITE_CONSTRUCTORS = {
@@ -206,17 +198,8 @@ class TestEventProtocol:
 class TestMetrics:
     def test_total_energy_sums_fix_events(self, make_constant_config):
         result = run(make_constant_config())
-        assert total_energy(result.events) == result.total_energy_mJ == 1040.0
-
-    def test_total_energy_synthetic(self):
-        events = (
-            Event(0.0, EVENT_FIX, GPS, 1425.0, 0.0, 5.0, 5.0),
-            Event(1.0, EVENT_SAMPLE, None, None, 5.0, 5.0, 5.0),
-            Event(2.0, EVENT_FIX, GPS, 1425.0, 10.0, 5.0, 5.0),
-            Event(3.0, EVENT_FIX, GSM, 20.0, 15.0, 5.0, 5.0),
-        )
-        assert total_energy(events) == 2870.0
-        assert total_energy(()) == 0.0
+        fix_energy = math.fsum(e.energy_mJ for e in result.events if e.kind == EVENT_FIX)
+        assert fix_energy == result.total_energy_mJ == 1040.0
 
     def test_replay_determinism(self):
         params = MobilityParams(duration_s=1200, t1_s=3, v0=2.0, seed=77)
@@ -265,9 +248,10 @@ class TestSatisfaction:
             params=MobilityParams(duration_s=30, t1_s=40, v_min=1.0, v_max=10.0, v0=2.0, seed=0),
             velocities=np.full(30, 2.0),
         )
-        events = (Event(0.0, EVENT_FIX, WIFI, 545.0, 0.0, 2.0, 2.0),)
-        sched = parse_schedule("0:100")
-        assert satisfaction_degree(events, trace, sched) == pytest.approx(25.0 / 30.0, abs=1e-12)
+        room = np.array([100.0 - WIFI.accuracy_m])
+        assert _satisfaction_exact(np.array([0.0]), room, trace) == pytest.approx(
+            25.0 / 30.0, abs=1e-12
+        )
 
     def test_boundary_equality_counts_as_satisfied(self, make_constant_config):
         # Every epoch re-fixes exactly when moved distance equals the budget.
@@ -278,28 +262,10 @@ class TestSatisfaction:
             params=MobilityParams(duration_s=10, t1_s=20, v_min=1.0, v_max=10.0, v0=5.0, seed=0),
             velocities=np.full(10, 5.0),
         )
-        events = tuple(
-            Event(float(i), EVENT_FIX, GPS, 1425.0, 5.0 * i, 5.0, 5.0) for i in range(10)
-        )
-        assert satisfaction_degree(events, trace, parse_schedule("0:5")) == 0.0
-
-    def test_requirement_change_inside_epoch_handled(self):
-        # Hand-built log: no re-fix at the change. v=2, fix acc 50 at t=0,
-        # requirement 100 then 60 from t=10: satisfied over [0,10) and
-        # nowhere after (2t+50 > 60 for t > 5). Expect 10/20.
-        trace = MotionTrace(
-            params=MobilityParams(duration_s=20, t1_s=30, v_min=1.0, v_max=10.0, v0=2.0, seed=0),
-            velocities=np.full(20, 2.0),
-        )
-        events = (Event(0.0, EVENT_FIX, WIFI, 545.0, 0.0, 2.0, 2.0),)
-        sched = parse_schedule("0:100,10:60")
-        assert satisfaction_degree(events, trace, sched) == pytest.approx(0.5, abs=1e-12)
-
-    def test_requires_fix_at_zero(self, make_constant_config):
-        trace = generate_trace(make_constant_config().mobility)
-        events = (Event(1.0, EVENT_FIX, GSM, 20.0, 5.0, 5.0, 5.0),)
-        with pytest.raises(ValueError):
-            satisfaction_degree(events, trace, parse_schedule("0:500"))
+        # Fallback fixes every second with gps (accuracy 10) under requirement 5.
+        fix_times = np.arange(10, dtype=float)
+        room = np.full(10, 5.0 - GPS.accuracy_m)
+        assert _satisfaction_exact(fix_times, room, trace) == 0.0
 
     def test_matches_grid_oracle_on_random_runs(self):
         rng = random.Random(99)
@@ -400,23 +366,16 @@ class TestCsvRoundTrips:
             SweepRow("adaptive", 0.5, 1.0, 7, 1040.0, 1.0, 52, 51),
             SweepRow("fixed:gps", 0.3, 0.1, 2, 52725.0, 0.75, 37, 370),
         ]
-        assert parse_summary_csv(summary_to_csv(rows)) == rows
+        types = (str, float, float, int, float, float, int, int)
+        header, *body = csv.reader(io.StringIO(summary_to_csv(rows)))
+        assert header == SUMMARY_CSV_HEADER.split(",")
+        back = [SweepRow(*(convert(x) for convert, x in zip(types, row))) for row in body]
+        assert back == rows
 
     def test_events_roundtrip_parseable(self, make_constant_config):
         result = run(make_constant_config(duration=300, requirement="0:500,150:120"))
-        text = events_to_csv(result.events)
-        back = parse_events_csv(text, DEFAULT_METHODS)
+        back = list(csv.DictReader(io.StringIO(events_to_csv(result.events))))
         assert len(back) == len(result.events)
-        assert [e.kind for e in back] == [e.kind for e in result.events]
-        fix_energy = [e.energy_mJ for e in back if e.kind == EVENT_FIX]
+        assert [row["kind"] for row in back] == [e.kind for e in result.events]
+        fix_energy = [float(row["energy_mJ"]) for row in back if row["kind"] == EVENT_FIX]
         assert fix_energy == [e.energy_mJ for e in result.events if e.kind == EVENT_FIX]
-
-    def test_event_csv_unknown_method_rejected(self):
-        text = "time_s,kind,method,energy_mJ,position_m,velocity_mps,ve_mps\n" \
-               "0.000000,fix,lidar,1.000000,0.000000,5.000000,5.000000\n"
-        with pytest.raises(ConfigError):
-            parse_events_csv(text, DEFAULT_METHODS)
-
-    def test_summary_header_rejected_if_wrong(self):
-        with pytest.raises(ConfigError):
-            parse_summary_csv("a,b\n1,2\n")
