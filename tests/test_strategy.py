@@ -92,14 +92,7 @@ class TestMethodParsing:
 
 class TestStrategyConfig:
     def test_validates_ranges(self):
-        for bad in (
-            dict(alpha=0.0),
-            dict(alpha=-0.1),
-            dict(alpha=1.0001),
-            dict(alpha=1.5),
-            dict(beta=0.0),
-            dict(beta=2.0),
-        ):
+        for bad in (dict(alpha=0.0), dict(alpha=1.5), dict(beta=0.0), dict(beta=2.0)):
             kwargs = dict(alpha=0.5, beta=1.0)
             kwargs.update(bad)
             with pytest.raises(ConfigError):
@@ -121,6 +114,12 @@ class TestEwma:
 
     def test_fixed_point(self):
         assert ewma_update(7.0, 7.0, 0.42) == pytest.approx(7.0, abs=1e-12)
+
+    def test_alpha_out_of_range_raises(self):
+        # ewma_update trusts its alpha; StrategyConfig is where it is checked.
+        for alpha in (0.0, -0.1, 1.0001):
+            with pytest.raises(ConfigError):
+                StrategyConfig(alpha=alpha, beta=1.0)
 
     @given(
         prev=st.floats(min_value=0.1, max_value=50, allow_nan=False),
