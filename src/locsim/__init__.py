@@ -7,12 +7,11 @@ movement estimate exhausts the accuracy budget. Runs report total fix
 energy and the fraction of time the accuracy requirement was met.
 """
 
-from .errors import ConfigError, InvalidStateError
+from .errors import ConfigError
 from .mobility import (
     MobilityParams,
     MotionTrace,
     generate_trace,
-    next_acceleration,
     position_at,
 )
 from .simulator import (
@@ -41,11 +40,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "InvalidStateError",
     "MobilityParams",
     "MotionTrace",
     "generate_trace",
-    "next_acceleration",
     "position_at",
     "Method",
     "StrategyConfig",

@@ -13,6 +13,7 @@ The effective configuration is echoed to stderr before any work runs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -52,6 +53,8 @@ def parse_float_list(text: str) -> list[float]:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise ConfigError(f"range must be numeric, got {text!r}") from None
+        if not all(math.isfinite(x) for x in (start, stop, step)):
+            raise ConfigError(f"range start, stop and step must be finite, got {text!r}")
         if step <= 0:
             raise ConfigError(f"range step must be > 0, got {step!r}")
         if stop < start:

@@ -6,11 +6,14 @@ is drawn uniformly over the choices that keep velocity inside
 [v_min, v_max], so consecutive per-second values never differ by more than
 1 m/s. Position is the exact integral of the piecewise-constant profile.
 
-Randomness comes from numpy's PCG64 (``np.random.default_rng(seed)``) and
-each acceleration event consumes exactly one bounded-integer draw, in
-ascending event-time order. Nothing else in the package draws random
-numbers, so traces (and everything computed from them) are bit-reproducible
-across runs and machines for a given seed.
+Randomness comes from numpy's PCG64 (``np.random.default_rng(seed)``),
+consumed in ascending event-time order exactly as
+``rng.integers(len(candidates))`` would: one 32-bit value per event with 2
+or 3 admissible accelerations, none for an event with only one (as when
+v_min == v_max), and one more for each value the bounded draw rejects
+(probability 2**-32 per event with 3 choices). Nothing else in the package
+draws random numbers, so traces (and everything computed from them) are
+bit-reproducible across runs and machines for a given seed.
 """
 
 from __future__ import annotations
@@ -21,12 +24,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, InvalidStateError
+from .errors import ConfigError
 
 __all__ = [
     "MobilityParams",
     "MotionTrace",
-    "next_acceleration",
     "generate_trace",
     "position_at",
     "positions_at",
@@ -113,38 +115,44 @@ class MotionTrace:
         return self.velocities.tolist()
 
 
-def next_acceleration(v_prev: float, params: MobilityParams, rng: np.random.Generator) -> int:
-    """Draw the next acceleration uniformly from the admissible subset of {-1, 0, +1}.
-
-    Admissible means ``v_prev + a`` stays inside [v_min, v_max]; at the band
-    edges this reduces to {0, +1} / {-1, 0}, and to {0} when v_min == v_max.
-    Consumes exactly one draw from ``rng`` regardless of the subset size.
-    """
-    if not (params.v_min <= v_prev <= params.v_max):
-        raise InvalidStateError(
-            f"velocity {v_prev!r} outside [{params.v_min}, {params.v_max}]"
-        )
-    candidates = [a for a in (-1, 0, 1) if params.v_min <= v_prev + a <= params.v_max]
-    return candidates[int(rng.integers(len(candidates)))]
-
-
 def generate_trace(params: MobilityParams) -> MotionTrace:
     """Generate the seeded velocity trace for ``params``.
 
     velocities[0] is v0; a new acceleration is drawn at every t >= 1 with
     t % t1_s == 0 and the velocity holds steady in between.
+
+    The draws reproduce ``rng.integers(k)`` over the k admissible
+    accelerations of (-1, 0, +1): numpy maps a 32-bit value ``x`` to
+    ``(x * k) >> 32`` (Lemire), and for k == 3 rejects ``x == 0`` and takes
+    the next value. The 32-bit values are drawn in bulk and walked as ints.
     """
     rng = np.random.default_rng(params.seed)
     n = max(1, params.duration_s)
-    v = np.empty(n, dtype=float)
+    t1 = params.t1_s
+    events = len(range(t1, n, t1))
+    v_min, v_max = params.v_min, params.v_max
     cur = float(params.v0)
-    start = 0
-    for event_t in range(params.t1_s, n, params.t1_s):
-        v[start:event_t] = cur
-        cur += next_acceleration(cur, params, rng)
-        start = event_t
-    v[start:] = cur
-    return MotionTrace(params=params, velocities=v)
+    levels = [cur]
+    draws: list[int] = []
+    i = 0
+    for e in range(events):
+        down = cur - 1 >= v_min
+        up = cur + 1 <= v_max
+        if down or up:
+            k = 3 if down and up else 2
+            while True:
+                if i == len(draws):  # at the start, or after rejected values
+                    draws = rng.integers(0, 2**32, dtype=np.uint32, size=events - e).tolist()
+                    i = 0
+                x = draws[i]
+                i += 1
+                if x or k == 2:
+                    break
+            # Index (x * k) >> 32 into (-1, 0, +1), (-1, 0) or (0, +1).
+            cur += ((x * k) >> 32) - 1 if down else (x * k) >> 32
+        levels.append(cur)
+    counts = [t1] * events + [n - events * t1]
+    return MotionTrace(params=params, velocities=np.repeat(np.array(levels), counts))
 
 
 def position_at(trace: MotionTrace, t: float) -> float:

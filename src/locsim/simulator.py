@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .mobility import (
     MobilityParams,
     MotionTrace,
     generate_trace,
-    position_at,
     positions_at,
     times_at_positions,
 )
@@ -152,8 +151,7 @@ class SimulationConfig:
         raise ConfigError(f"strategy must be 'adaptive' or 'fixed:<name>', got {kind!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(NamedTuple):
     """One observable simulation event.
 
     At a shared timestamp the canonical log order is schedule_change, then
@@ -167,7 +165,7 @@ class Event:
     energy_mJ: Optional[float]
     position_m: float
     velocity_mps: float
-    v_e_mps: Optional[float]
+    v_e_mps: float
 
 
 @dataclass(frozen=True)
@@ -234,12 +232,14 @@ def run(
     beta = cfg.beta
     near = 1.0 - BUDGET_REL_TOL
 
-    events: list[Event] = []
+    # Logged as (time, kind, method, energy, velocity, v_e); positions are
+    # filled in after the loop.
+    log: list[tuple] = []
     fix_times: list[float] = []
     fix_rooms: list[float] = []
     energy = 0.0
     samples = 0
-    trigger: Optional[Event] = None  # a sample calling for a fix is logged after that fix
+    trigger: Optional[tuple] = None  # a sample calling for a fix is logged after that fix
 
     si = 0  # index of the schedule entry in force
     a_t, change_t = on_requirement_change(entries, si)
@@ -255,11 +255,9 @@ def run(
         fix_times.append(t)
         fix_rooms.append(room)
         if record_events:
-            events.append(
-                Event(t, EVENT_FIX, method, method.energy_mJ, position_at(trace, t), v, v_e)
-            )
+            log.append((t, EVENT_FIX, method, method.energy_mJ, v, v_e))
             if trigger is not None:
-                events.append(trigger)
+                log.append(trigger)
                 trigger = None
 
         # Find the next event: a fix (fix_due), else a change or the horizon.
@@ -277,14 +275,10 @@ def run(
                 if not r_i < limit:
                     fix_due = True
                     if record_events:
-                        trigger = Event(
-                            t_next, EVENT_SAMPLE, None, None, position_at(trace, t_next), v, v_e
-                        )
+                        trigger = (t_next, EVENT_SAMPLE, None, None, v, v_e)
                     break
                 if record_events:
-                    events.append(
-                        Event(t_next, EVENT_SAMPLE, None, None, position_at(trace, t_next), v, v_e)
-                    )
+                    log.append((t_next, EVENT_SAMPLE, None, None, v, v_e))
                 t_next = t + (n + 1) * step
             samples += n
         elif t_next < bound:
@@ -299,9 +293,7 @@ def run(
             t = change_t
             v = vel[int(t)]
             if record_events:
-                events.append(
-                    Event(t, EVENT_SCHEDULE_CHANGE, None, None, position_at(trace, t), v, v_e)
-                )
+                log.append((t, EVENT_SCHEDULE_CHANGE, None, None, v, v_e))
             si += 1
             a_t, change_t = on_requirement_change(entries, si)
             bound = min(change_t, duration)
@@ -316,7 +308,22 @@ def run(
         satisfaction=satisfaction,
         fix_count=len(fix_times),
         sample_count=samples,
-        events=tuple(events),
+        events=_with_positions(log, trace),
+    )
+
+
+def _with_positions(log: list[tuple], trace: MotionTrace) -> tuple[Event, ...]:
+    """Events from ``log`` rows (time, kind, method, energy, velocity, v_e),
+    with every position from one :func:`~locsim.mobility.positions_at` call."""
+    if not log:
+        return ()
+    times = np.array([row[0] for row in log], dtype=float)
+    new = tuple.__new__
+    return tuple(
+        new(Event, (t, kind, method, energy_mJ, position, v, v_e))
+        for (t, kind, method, energy_mJ, v, v_e), position in zip(
+            log, positions_at(trace, times).tolist()
+        )
     )
 
 
@@ -504,15 +511,16 @@ def write_mean_csv(means: Sequence[SweepMean], path) -> None:
 
 
 def events_to_csv(events: Sequence[Event]) -> str:
+    # "%.6f" % x is the same string as _fmt(x) for every float.
     lines = [EVENT_CSV_HEADER]
-    for e in events:
-        method = e.method.name if e.method is not None else ""
-        energy = _fmt(e.energy_mJ) if e.energy_mJ is not None else ""
-        ve = _fmt(e.v_e_mps) if e.v_e_mps is not None else ""
-        lines.append(
-            f"{_fmt(e.time_s)},{e.kind},{method},{energy},"
-            f"{_fmt(e.position_m)},{_fmt(e.velocity_mps)},{ve}"
-        )
+    for t, kind, method, energy_mJ, position, v, v_e in events:
+        if method is None:
+            lines.append("%.6f,%s,,,%.6f,%.6f,%.6f" % (t, kind, position, v, v_e))
+        else:
+            lines.append(
+                "%.6f,%s,%s,%.6f,%.6f,%.6f,%.6f"
+                % (t, kind, method.name, energy_mJ, position, v, v_e)
+            )
     return "\n".join(lines) + "\n"
 
 

@@ -160,6 +160,21 @@ class TestSweepCommand:
         code, _, _ = run_cli(capsys, "sweep", "--seeds", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--betas", "--alphas"])
+    @pytest.mark.parametrize("text", ["0.1:nan:0.1", "0.1:inf:0.1", "0.1:1:nan"])
+    def test_non_finite_range_exits_2_without_traceback(self, tmp_path, flag, text):
+        out = tmp_path / "grid.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "locsim", "sweep", flag, text, "--seeds", "1",
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "must be finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists()
+
 
 class TestReproduceFigures:
     def test_writes_four_series(self, tmp_path, capsys):

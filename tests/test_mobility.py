@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locsim.errors import ConfigError, InvalidStateError
+from locsim.errors import ConfigError
 from locsim.mobility import (
     MobilityParams,
     MotionTrace,
     generate_trace,
-    next_acceleration,
     position_at,
     times_at_positions,
 )
@@ -52,37 +51,39 @@ class TestMobilityParams:
         assert position_at(trace, 0.0) == 0.0
 
 
+def steps_from(params):
+    """(velocity before, acceleration) at every acceleration event of the trace."""
+    v = generate_trace(params).velocities
+    at = np.arange(params.t1_s, len(v), params.t1_s)
+    return v[at - 1], v[at] - v[at - 1]
+
+
 class TestNextAcceleration:
+    """The acceleration drawn at each event, read off generated traces."""
+
     def test_interior_velocity_draws_from_full_set(self):
-        params = MobilityParams(duration_s=10, t1_s=1)
-        rng = np.random.default_rng(0)
-        draws = {next_acceleration(5.0, params, rng) for _ in range(300)}
-        assert draws == {-1, 0, 1}
+        params = MobilityParams(duration_s=600, t1_s=1, v0=5.0, seed=0)
+        before, accel = steps_from(params)
+        interior = (before >= 2.0) & (before <= 9.0)
+        assert interior.sum() >= 100
+        assert set(accel[interior].tolist()) == {-1.0, 0.0, 1.0}
 
     def test_at_v_min_never_decreases(self):
-        params = MobilityParams(duration_s=10, t1_s=1)
-        rng = np.random.default_rng(1)
-        draws = {next_acceleration(1.0, params, rng) for _ in range(300)}
-        assert draws == {0, 1}
+        params = MobilityParams(duration_s=600, t1_s=1, v_min=1.0, v_max=3.0, v0=1.0, seed=1)
+        before, accel = steps_from(params)
+        assert (before == 1.0).sum() >= 50
+        assert set(accel[before == 1.0].tolist()) == {0.0, 1.0}
 
     def test_at_v_max_never_increases(self):
-        params = MobilityParams(duration_s=10, t1_s=1)
-        rng = np.random.default_rng(2)
-        draws = {next_acceleration(10.0, params, rng) for _ in range(300)}
-        assert draws == {-1, 0}
+        params = MobilityParams(duration_s=600, t1_s=1, v_min=8.0, v_max=10.0, v0=10.0, seed=2)
+        before, accel = steps_from(params)
+        assert (before == 10.0).sum() >= 50
+        assert set(accel[before == 10.0].tolist()) == {-1.0, 0.0}
 
     def test_single_width_band_pins_acceleration_to_zero(self):
-        params = MobilityParams(duration_s=10, t1_s=1, v_min=1.0, v_max=1.0, v0=1.0)
-        rng = np.random.default_rng(3)
-        assert all(next_acceleration(1.0, params, rng) == 0 for _ in range(50))
-
-    def test_velocity_outside_band_raises(self):
-        params = MobilityParams(duration_s=10, t1_s=1)
-        rng = np.random.default_rng(0)
-        with pytest.raises(InvalidStateError):
-            next_acceleration(0.0, params, rng)
-        with pytest.raises(InvalidStateError):
-            next_acceleration(11.0, params, rng)
+        for v_max in (1.0, 1.5):
+            params = MobilityParams(duration_s=50, t1_s=1, v_min=1.0, v_max=v_max, v0=1.0, seed=3)
+            assert np.all(generate_trace(params).velocities == 1.0)
 
     def test_boundary_draws_bulk_zero_violations(self):
         # Narrow band keeps every draw at a boundary; >= 1e4 events total.
