@@ -12,7 +12,6 @@ from .mobility import (
     MobilityParams,
     MotionTrace,
     generate_trace,
-    position_at,
 )
 from .simulator import (
     AccuracySchedule,
@@ -43,7 +42,6 @@ __all__ = [
     "MobilityParams",
     "MotionTrace",
     "generate_trace",
-    "position_at",
     "Method",
     "StrategyConfig",
     "DEFAULT_METHODS",

@@ -5,6 +5,7 @@ Commands:
   sweep              alpha/beta/seed/kind grid; summary CSV plus *_mean.csv
   reproduce-figures  the four strategy-comparison tables (energy and
                      satisfaction vs beta at alpha 0.5 and 0.3, seeds 1-30)
+                     as CSVs, plus a per-beta digest of them on stdout
 
 Exit codes: 0 success, 2 configuration error, 1 runtime or I/O error.
 The effective configuration is echoed to stderr before any work runs.
@@ -13,11 +14,13 @@ The effective configuration is echoed to stderr before any work runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
 
 from .config import (
+    DEFAULTS,
     build_simulation_config,
     format_config,
     load_config_file,
@@ -59,7 +62,10 @@ def parse_float_list(text: str) -> list[float]:
             raise ConfigError(f"range step must be > 0, got {step!r}")
         if stop < start:
             raise ConfigError(f"range stop must be >= start, got {text!r}")
-        count = int((stop - start) / step + 1e-9) + 1
+        span = (stop - start) / step
+        if not math.isfinite(span):
+            raise ConfigError(f"range step count must be finite, got {text!r}")
+        count = int(span + 1e-9) + 1
         return [round(start + i * step, 10) for i in range(count)]
     try:
         values = [float(p) for p in text.split(",") if p.strip()]
@@ -98,25 +104,16 @@ def parse_kind_list(text: str) -> list[str]:
     return kinds
 
 
-def _resolved(args: argparse.Namespace, flag_keys: dict[str, str]) -> dict[str, object]:
+def _resolved(args: argparse.Namespace) -> dict[str, object]:
     file_values = load_config_file(args.config) if args.config else None
-    flag_values = {key: getattr(args, attr) for attr, key in flag_keys.items()}
+    flag_values = {k: v for k, v in vars(args).items() if k in DEFAULTS}
     values = resolve_config(file_values, flag_values)
     sys.stderr.write(format_config(values))
     return values
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    values = _resolved(
-        args,
-        {
-            "seed": "seed",
-            "alpha": "alpha",
-            "beta": "beta",
-            "duration": "duration_s",
-            "strategy": "strategy",
-        },
-    )
+    values = _resolved(args)
     cfg = build_simulation_config(values)
     result = run(cfg, record_events=args.out is not None)
     row = SweepRow(
@@ -136,7 +133,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    values = _resolved(args, {"duration": "duration_s"})
+    values = _resolved(args)
     base = build_simulation_config(values)
     alphas = parse_float_list(args.alphas) if args.alphas else [float(values["alpha"])]
     betas = parse_float_list(args.betas) if args.betas else [float(values["beta"])]
@@ -172,33 +169,48 @@ def write_figures(tables: dict[str, list[tuple[float, float, float]]], out_dir) 
 
 
 def cmd_reproduce_figures(args: argparse.Namespace) -> int:
-    values = _resolved(args, {"duration": "duration_s"})
+    values = _resolved(args)
     base = build_simulation_config(values)
-    for path in write_figures(figure_series(base), args.out):
+    tables = figure_series(base)
+    for path in write_figures(tables, args.out):
         sys.stderr.write(f"wrote {path}\n")
+    lines = ["beta   energy ours/gps (a=.5, a=.3)   satisfaction ours-gps (a=.5, a=.3)"]
+    for (beta, gps_e, ours_e), (_, g3, o3), (_, g4, o4), (_, g5, o5) in zip(
+        tables["fig2"], tables["fig3"], tables["fig4"], tables["fig5"]
+    ):
+        lines.append(
+            f"{beta:4.1f}   {ours_e / gps_e:11.3f} {o4 / g4:6.3f}   "
+            f"{o3 - g3:+17.4f} {o5 - g5:+7.4f}"
+        )
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``locsim`` parser, built on first use; flags use their config key as dest."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="path to a key = value config file")
+    common.add_argument(
+        "--duration", dest="duration_s", metavar="DURATION", type=int,
+        help="horizon in whole seconds",
+    )
+
     parser = argparse.ArgumentParser(
         prog="locsim",
         description="Energy-aware localization scheduling simulator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run one simulation")
-    sim.add_argument("--config", help="path to a key = value config file")
+    sim = sub.add_parser("simulate", parents=[common], help="run one simulation")
     sim.add_argument("--seed", type=int, help="mobility RNG seed")
     sim.add_argument("--alpha", type=float, help="EWMA weight in (0, 1]")
     sim.add_argument("--beta", type=float, help="sampling-interval fraction in (0, 1]")
-    sim.add_argument("--duration", type=int, help="horizon in whole seconds")
     sim.add_argument("--strategy", help="'adaptive' or 'fixed:<method>'")
     sim.add_argument("--out", help="write the event log CSV here")
     sim.set_defaults(func=cmd_simulate)
 
-    sw = sub.add_parser("sweep", help="run an alpha/beta/seed/strategy grid")
-    sw.add_argument("--config", help="path to a key = value config file")
-    sw.add_argument("--duration", type=int, help="horizon in whole seconds")
+    sw = sub.add_parser("sweep", parents=[common], help="run an alpha/beta/seed/strategy grid")
     sw.add_argument("--alphas", help="comma list or start:stop:step range")
     sw.add_argument("--betas", help="comma list or start:stop:step range")
     sw.add_argument("--seeds", help="comma list or a..b range")
@@ -208,10 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     figs = sub.add_parser(
         "reproduce-figures",
+        parents=[common],
         help="regenerate the four energy/satisfaction comparison tables",
     )
-    figs.add_argument("--config", help="path to a key = value config file")
-    figs.add_argument("--duration", type=int, help="horizon in whole seconds")
     figs.add_argument("--out", required=True, help="output directory for fig2..fig5 CSVs")
     figs.set_defaults(func=cmd_reproduce_figures)
     return parser

@@ -43,38 +43,11 @@ DEFAULTS: dict[str, object] = {
 }
 
 
-def _parse_int(key: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {text!r}") from None
-
-
-def _parse_float(key: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {text!r}") from None
-
-
-_CONVERTERS = {
-    "duration_s": _parse_int,
-    "t1_s": _parse_int,
-    "v_min": _parse_float,
-    "v_max": _parse_float,
-    "v0": _parse_float,
-    "seed": _parse_int,
-    "alpha": _parse_float,
-    "beta": _parse_float,
-    "t_min_refix_s": _parse_float,
-    "strategy": lambda _key, text: text,
-    "methods": lambda _key, text: text,
-    "schedule": lambda _key, text: text,
-}
-
-
 def parse_config_text(text: str) -> dict[str, object]:
-    """Parse config-file text; blank lines and ``#`` comments are skipped."""
+    """Parse config-file text; blank lines and ``#`` comments are skipped.
+
+    Each value takes the type of its key's default in :data:`DEFAULTS`.
+    """
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -85,11 +58,16 @@ def parse_config_text(text: str) -> dict[str, object]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _CONVERTERS:
+        if key not in DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
-        values[key] = _CONVERTERS[key](key, value)
+        kind = type(DEFAULTS[key])
+        try:
+            values[key] = kind(value)
+        except ValueError:
+            expected = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{key} must be {expected}, got {value!r}") from None
     return values
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "MobilityParams",
     "MotionTrace",
     "generate_trace",
-    "position_at",
     "positions_at",
     "times_at_positions",
 ]
@@ -105,10 +104,6 @@ class MotionTrace:
         object.__setattr__(self, "velocities", v)
         object.__setattr__(self, "cumulative_m", cum)
 
-    @property
-    def duration_s(self) -> int:
-        return self.params.duration_s
-
     @cached_property
     def velocity_list(self) -> list[float]:
         """``velocities`` as Python floats, built once per trace for scalar loops."""
@@ -155,18 +150,13 @@ def generate_trace(params: MobilityParams) -> MotionTrace:
     return MotionTrace(params=params, velocities=np.repeat(np.array(levels), counts))
 
 
-def position_at(trace: MotionTrace, t: float) -> float:
-    """Distance travelled over [0, t], exact for the piecewise-constant profile."""
-    if not (0 <= t <= trace.params.duration_s):
-        raise ValueError(f"t={t!r} outside [0, {trace.params.duration_s}]")
-    k = int(t)
-    if k >= len(trace.velocities):
-        k = len(trace.velocities) - 1
-    return float(trace.cumulative_m[k] + (t - k) * trace.velocities[k])
-
-
 def positions_at(trace: MotionTrace, times: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`position_at` for times already known to be in range."""
+    """Distance travelled over [0, t] for each t in ``times``.
+
+    Exact for the piecewise-constant profile: the cumulative distance at
+    ``int(t)`` plus the remainder at that second's velocity. Times must lie
+    in [0, duration_s]; they are not checked.
+    """
     v = trace.velocities
     k = np.minimum(times.astype(np.int64), len(v) - 1)
     return trace.cumulative_m[k] + (times - k) * v[k]

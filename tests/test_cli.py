@@ -2,7 +2,6 @@
 
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -11,7 +10,7 @@ from locsim.errors import ConfigError
 
 SUMMARY_HEADER = "kind,alpha,beta,seed,total_energy_mJ,satisfaction,fix_count,sample_count"
 GOLDEN_SEED7_ROW = "adaptive,0.500000,1.000000,7,149185.000000,0.655144,230,322"
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
+DEFAULT_SEED1_ROW = "adaptive,0.500000,1.000000,1,162550.000000,0.686712,219,312"
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +78,23 @@ class TestSimulate:
         assert code == 2
         assert "velocity_cap" in err
 
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("seed = 1.5\n", "error: seed must be an integer, got '1.5'"),
+            ("alpha = fast\n", "error: alpha must be a number, got 'fast'"),
+            ("seed = 1\nseed = 2\n", "error: line 2: duplicate config key 'seed'"),
+            ("seed 1\n", "error: line 1: expected 'key = value', got 'seed 1'"),
+        ],
+    )
+    def test_bad_config_file_exits_2_with_message(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == message + "\n"
+
     def test_non_finite_method_accuracy_exits_2_without_traceback(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("methods = gps:nan:1425\n")
@@ -128,6 +144,19 @@ class TestSimulate:
         _, second, _ = run_cli(capsys, "simulate", "--seed", "11")
         assert first == second
 
+    def test_no_flag_value_leaks_between_calls(self, capsys):
+        assert run_cli(capsys, "sweep")[0] == 2
+        code, out, _ = run_cli(capsys, "simulate", "--seed", "7")
+        assert (code, out) == (0, f"{SUMMARY_HEADER}\n{GOLDEN_SEED7_ROW}\n")
+        code, _, err = run_cli(capsys, "simulate", "--duration", "100")
+        assert code == 0
+        assert "duration_s = 100\n" in err
+        code, out, err = run_cli(capsys, "simulate")
+        assert code == 0
+        assert "duration_s = 3600\n" in err
+        assert "seed = 1\n" in err
+        assert out == f"{SUMMARY_HEADER}\n{DEFAULT_SEED1_ROW}\n"
+
 
 class TestSweepCommand:
     def test_grid_rows_and_mean_file(self, tmp_path, capsys):
@@ -161,7 +190,7 @@ class TestSweepCommand:
         assert code == 2
 
     @pytest.mark.parametrize("flag", ["--betas", "--alphas"])
-    @pytest.mark.parametrize("text", ["0.1:nan:0.1", "0.1:inf:0.1", "0.1:1:nan"])
+    @pytest.mark.parametrize("text", ["0.1:nan:0.1", "0.1:inf:0.1", "0.1:1:nan", "0:1e300:1e-300"])
     def test_non_finite_range_exits_2_without_traceback(self, tmp_path, flag, text):
         out = tmp_path / "grid.csv"
         proc = subprocess.run(
@@ -208,20 +237,16 @@ class TestReproduceFigures:
                 assert 0.0 <= ours_s <= 1.0
 
 
-    def test_script_writes_the_same_figures(self, tmp_path, capsys):
-        cli_dir = tmp_path / "cli"
-        code, _, _ = run_cli(capsys, "reproduce-figures", "--duration", "120", "--out", str(cli_dir))
-        assert code == 0
-        script_dir = tmp_path / "script"
-        proc = subprocess.run(
-            [sys.executable, str(SCRIPT), "--duration", "120", "--out", str(script_dir)],
-            capture_output=True, text=True, timeout=120,
+    def test_prints_per_beta_digest(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            capsys, "reproduce-figures", "--duration", "120", "--out", str(tmp_path / "figs")
         )
-        assert proc.returncode == 0, proc.stderr
-        for name in ("fig2", "fig3", "fig4", "fig5"):
-            assert (script_dir / f"{name}.csv").read_bytes() == (cli_dir / f"{name}.csv").read_bytes()
-        digest = proc.stdout.split("energy ours/gps", 1)[1].splitlines()[1:]
-        assert [row.split()[0] for row in digest] == [f"{0.1 * i:.1f}" for i in range(1, 11)]
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert header == "beta   energy ours/gps (a=.5, a=.3)   satisfaction ours-gps (a=.5, a=.3)"
+        assert [row.split()[0] for row in rows] == [f"{0.1 * i:.1f}" for i in range(1, 11)]
+        assert "wrote " not in out
+        assert err.count("wrote ") == 4
 
 
 class TestEntryPoints:

@@ -10,7 +10,7 @@ from locsim.mobility import (
     MobilityParams,
     MotionTrace,
     generate_trace,
-    position_at,
+    positions_at,
     times_at_positions,
 )
 
@@ -48,7 +48,7 @@ class TestMobilityParams:
         trace = generate_trace(params)
         assert list(trace.velocities) == [2.0]
         assert trace.velocities[0] == 2.0
-        assert position_at(trace, 0.0) == 0.0
+        assert positions_at(trace, np.array([0.0])).tolist() == [0.0]
 
 
 def steps_from(params):
@@ -161,21 +161,17 @@ class TestMotionTraceValidation:
 class TestPositionAt:
     def test_zero_at_zero(self):
         trace = make_trace([3.0] * 10)
-        assert position_at(trace, 0.0) == 0.0
+        assert positions_at(trace, np.array([0.0])).tolist() == [0.0]
 
     def test_constant_velocity(self):
         trace = make_trace([3.0] * 12)
-        assert position_at(trace, 10.0) == 30.0
+        assert positions_at(trace, np.array([10.0])).tolist() == [30.0]
 
     def test_piecewise_profile(self):
         trace = make_trace([2.0, 2.0, 2.0, 3.0, 3.0], t1_s=3)
-        assert position_at(trace, 5.0) == 12.0
-        assert position_at(trace, 4.5) == pytest.approx(10.5, abs=1e-12)
-
-    def test_out_of_range_raises(self):
-        trace = make_trace([2.0] * 4)
-        with pytest.raises(ValueError):
-            position_at(trace, 4.5)
+        at_5, at_4_5 = positions_at(trace, np.array([5.0, 4.5]))
+        assert at_5 == 12.0
+        assert at_4_5 == pytest.approx(10.5, abs=1e-12)
 
     def test_matches_dense_riemann_sum(self):
         params = MobilityParams(duration_s=60, t1_s=2, v0=5.0, seed=7)
@@ -185,17 +181,18 @@ class TestPositionAt:
         cells = np.arange(60_000)
         cell_v = trace.velocities[cells // 1000]
         riemann = np.concatenate(([0.0], np.cumsum(cell_v) * dt))
-        for t in (0.25, 1.0, 7.5, 33.333, 59.999, 60.0):
-            k = int(round(t / dt))
-            assert position_at(trace, t) == pytest.approx(riemann[k], abs=1e-6)
+        ts = np.array([0.25, 1.0, 7.5, 33.333, 59.999, 60.0])
+        ks = np.rint(ts / dt).astype(np.int64)
+        assert np.allclose(positions_at(trace, ts), riemann[ks], rtol=0, atol=1e-6)
 
     def test_additive_over_subintervals(self):
         params = MobilityParams(duration_s=100, t1_s=3, v0=2.0, seed=11)
         trace = generate_trace(params)
         t1, t2, t3 = 12.25, 40.5, 97.125
-        left = position_at(trace, t2) - position_at(trace, t1)
-        right = position_at(trace, t3) - position_at(trace, t2)
-        total = position_at(trace, t3) - position_at(trace, t1)
+        p1, p2, p3 = positions_at(trace, np.array([t1, t2, t3]))
+        left = p2 - p1
+        right = p3 - p2
+        total = p3 - p1
         assert left + right == pytest.approx(total, abs=1e-9)
 
     @given(seed=st.integers(min_value=0, max_value=2**16))
@@ -204,8 +201,8 @@ class TestPositionAt:
         params = MobilityParams(duration_s=50, t1_s=4, v0=3.0, seed=seed)
         trace = generate_trace(params)
         ts = np.linspace(0, 50, 301)
-        pos = [position_at(trace, float(t)) for t in ts]
-        assert all(b >= a for a, b in zip(pos, pos[1:]))
+        pos = positions_at(trace, ts)
+        assert np.all(np.diff(pos) >= 0)
 
 
 class TestTimesAtPositions:
@@ -213,7 +210,7 @@ class TestTimesAtPositions:
         params = MobilityParams(duration_s=80, t1_s=3, v0=4.0, seed=3)
         trace = generate_trace(params)
         ts = np.array([0.0, 1.5, 10.0, 42.42, 79.999])
-        pos = np.array([position_at(trace, float(t)) for t in ts])
+        pos = positions_at(trace, ts)
         back = times_at_positions(trace, pos)
         assert np.allclose(back, ts, atol=1e-9)
 
