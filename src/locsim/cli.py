@@ -43,6 +43,14 @@ __all__ = ["main", "build_parser", "write_figures"]
 
 FIGURE_CSV_HEADER = "beta,gps_value,ours_value"
 FIGURE_NAMES = ("fig2", "fig3", "fig4", "fig5")
+# Ranges are counted before they are built, so a long one is refused
+# instead of filling memory; the paper's grids need tens of values.
+MAX_LIST_VALUES = 100_000
+
+
+def _check_range_count(count: int, text: str) -> None:
+    if count > MAX_LIST_VALUES:
+        raise ConfigError(f"range {text!r} has {count} values, more than {MAX_LIST_VALUES}")
 
 
 def parse_float_list(text: str) -> list[float]:
@@ -66,6 +74,7 @@ def parse_float_list(text: str) -> list[float]:
         if not math.isfinite(span):
             raise ConfigError(f"range step count must be finite, got {text!r}")
         count = int(span + 1e-9) + 1
+        _check_range_count(count, text)
         return [round(start + i * step, 10) for i in range(count)]
     try:
         values = [float(p) for p in text.split(",") if p.strip()]
@@ -87,6 +96,7 @@ def parse_seed_list(text: str) -> list[int]:
             raise ConfigError(f"seed range must be a..b, got {text!r}") from None
         if last < first:
             raise ConfigError(f"seed range end must be >= start, got {text!r}")
+        _check_range_count(last - first + 1, text)
         return list(range(first, last + 1))
     try:
         seeds = [int(p) for p in text.split(",") if p.strip()]

@@ -36,6 +36,7 @@ from .strategy import (
     StrategyConfig,
     begin_epoch,
     on_velocity_sample,
+    plan_method,
 )
 
 __all__ = [
@@ -207,14 +208,17 @@ def run(
     The scheduler is one loop over Python floats, one epoch per outer
     iteration. Each fix opens an epoch with
     :func:`~locsim.strategy.begin_epoch`, which folds the velocity at the
-    fix into the EWMA ``v_e`` and selects the method. A positive room
+    fix into the EWMA ``v_e`` and takes the method that
+    :func:`~locsim.strategy.plan_method` chose for the requirement in force,
+    or selects one at this ``v_e`` when there is no plan. A positive room
     (requirement minus method accuracy) is sampled every ``t_s * beta``
     seconds. Each sample goes through
     :func:`~locsim.strategy.on_velocity_sample`, and the sample at which
     the distance estimate ``r_i`` reaches the room calls for a fix at that
     same instant. A room <= 0 (no method beats the requirement) re-fixes
     every ``t_min_refix_s`` instead. At each change of the requirement
-    :func:`on_requirement_change` moves to the next schedule entry.
+    :func:`on_requirement_change` moves to the next schedule entry, and the
+    method is planned again.
     """
     if trace is None:
         trace = generate_trace(config.mobility)
@@ -231,6 +235,9 @@ def run(
     alpha = cfg.alpha
     beta = cfg.beta
     near = 1.0 - BUDGET_REL_TOL
+    # The EWMA of velocities in [v_min, v_max] stays there up to rounding,
+    # so twice v_max bounds it with room to spare.
+    v_hi = 2.0 * config.mobility.v_max
 
     # Logged as (time, kind, method, energy, velocity, v_e); positions are
     # filled in after the loop.
@@ -243,13 +250,14 @@ def run(
 
     si = 0  # index of the schedule entry in force
     a_t, change_t = on_requirement_change(entries, si)
+    plan = plan_method(cfg.methods, a_t, v_hi)
     bound = min(change_t, duration)
     t = 0.0
     v = vel[0]
     v_e: Optional[float] = None
     while True:
         # A fix at t; v is the velocity at t.
-        v_e, method, t_s, wait = begin_epoch(cfg, a_t, v, v_e)
+        v_e, method, t_s, wait = begin_epoch(cfg, a_t, v, v_e, plan)
         room = a_t - method.accuracy_m
         energy += method.energy_mJ
         fix_times.append(t)
@@ -296,6 +304,7 @@ def run(
                 log.append((t, EVENT_SCHEDULE_CHANGE, None, None, v, v_e))
             si += 1
             a_t, change_t = on_requirement_change(entries, si)
+            plan = plan_method(cfg.methods, a_t, v_hi)
             bound = min(change_t, duration)
         else:
             break

@@ -11,8 +11,9 @@ interval ``t_s`` is frozen when the epoch begins; velocity is re-sampled
 every ``t_s * beta`` seconds and each sample advances the distance
 estimate by ``v_e * t_s * beta``. The event loop that does this is
 :func:`locsim.simulator.run`; this module holds what it is configured with
-and the steps it calls: :func:`begin_epoch` at every fix and
-:func:`on_velocity_sample` at every sample.
+and the steps it calls: :func:`plan_method` when a requirement comes into
+force, :func:`begin_epoch` at every fix and :func:`on_velocity_sample` at
+every sample.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "ewma_update",
     "cost_rate",
     "select_method",
+    "plan_method",
     "most_accurate_method",
     "begin_epoch",
     "on_velocity_sample",
@@ -41,6 +43,14 @@ __all__ = [
 # having reached it, so the discrete loop lands on the same fix times as
 # exact arithmetic would (e.g. budget/v followed by v*t_s rounding down).
 BUDGET_REL_TOL = 1e-12
+
+# plan_method commits to a method only when its energy per metre of room is
+# below every other eligible method's by this relative gap: far wider than
+# the few-ulp rounding of a computed cost rate. Its bounds on rooms and
+# rates keep every rate it vouches for a normal float, which that rounding
+# bound needs (the smallest normal float is about 2.2e-308).
+PLAN_REL_GAP = 1e-9
+PLAN_MIN, PLAN_MAX = 1e-290, 1e290
 
 
 @dataclass(frozen=True)
@@ -170,6 +180,37 @@ def select_method(methods: Sequence[Method], a_t: float, v_e: float) -> Optional
     return best
 
 
+def plan_method(methods: Sequence[Method], a_t: float, v_hi: float) -> Optional[Method]:
+    """The method :func:`select_method` picks under ``a_t`` at every v_e in
+    [1, v_hi], or None when that cannot be proven.
+
+    Each rate ``e / ((a_t - accuracy_m) / v_e)`` is within a factor of about
+    1 +- 4 * 2**-53 of ``q * v_e``, with ``q = e / (a_t - accuracy_m)``, as
+    long as no step leaves the normal float range. So the method with the
+    smallest q wins at every v_e when its q is below every other eligible q
+    by :data:`PLAN_REL_GAP`. Returns None when no method is eligible, on
+    ties and near-ties (decided per fix by accuracy and name), and when a
+    room or rate could underflow or overflow for some v_e in range (decided
+    per fix by :func:`select_method`, which may raise).
+    """
+    best: Optional[Method] = None
+    best_q = second_q = math.inf
+    for m in methods:
+        if m.accuracy_m >= a_t:
+            continue
+        d = a_t - m.accuracy_m
+        q = m.energy_mJ / d
+        if min(d / v_hi, q) < PLAN_MIN or q * v_hi > PLAN_MAX:
+            return None
+        if q < best_q:
+            best, best_q, second_q = m, q, best_q
+        elif q < second_q:
+            second_q = q
+    if best is None or not best_q < second_q * (1.0 - PLAN_REL_GAP):
+        return None
+    return best
+
+
 def most_accurate_method(methods: Sequence[Method]) -> Method:
     if not methods:
         raise ConfigError("method set is empty")
@@ -177,12 +218,14 @@ def most_accurate_method(methods: Sequence[Method]) -> Method:
 
 
 def begin_epoch(
-    cfg: StrategyConfig, a_t: float, v: float, v_e: Optional[float]
+    cfg: StrategyConfig, a_t: float, v: float, v_e: Optional[float], plan: Optional[Method]
 ) -> tuple[float, Method, float, float]:
     """Open the epoch that starts at a fix under requirement ``a_t``.
 
     Folds the fix-time velocity ``v`` into the EWMA ``v_e`` (None before
-    the first fix, which sets it to ``v``) and selects the method. Returns
+    the first fix, which sets it to ``v``) and takes the method: ``plan``,
+    the :func:`plan_method` choice for ``a_t``, or when that is None the
+    :func:`select_method` choice at this ``v_e``. Returns
     (v_e, method, t_s, wait): the epoch interval t_s = (a_t - accuracy_m) /
     v_e, sampled every t_s * beta seconds, and the wait from the fix to the
     first sample, t_s * beta. When :func:`select_method` finds no method
@@ -194,7 +237,7 @@ def begin_epoch(
     if a_t <= 0:
         raise ConfigError(f"accuracy requirement must be > 0, got {a_t!r}")
     v_e = v if v_e is None else ewma_update(v_e, v, cfg.alpha)
-    method = select_method(cfg.methods, a_t, v_e)
+    method = plan if plan is not None else select_method(cfg.methods, a_t, v_e)
     if method is None:
         return v_e, most_accurate_method(cfg.methods), cfg.t_min_refix_s, cfg.t_min_refix_s
     t_s = (a_t - method.accuracy_m) / v_e

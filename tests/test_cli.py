@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from locsim.cli import main, parse_float_list, parse_seed_list
+from locsim.cli import MAX_LIST_VALUES, main, parse_float_list, parse_seed_list
 from locsim.errors import ConfigError
 
 SUMMARY_HEADER = "kind,alpha,beta,seed,total_energy_mJ,satisfaction,fix_count,sample_count"
@@ -42,6 +42,22 @@ class TestListParsing:
         for bad in ("", "4..1", "a", "1..b"):
             with pytest.raises(ConfigError):
                 parse_seed_list(bad)
+
+    def test_range_length_is_bounded(self):
+        assert MAX_LIST_VALUES == 100_000
+        assert len(parse_float_list("0:99999:1")) == MAX_LIST_VALUES
+        assert len(parse_seed_list("1..100000")) == MAX_LIST_VALUES
+        for parse, text in ((parse_float_list, "0:100000:1"), (parse_seed_list, "1..100001")):
+            with pytest.raises(ConfigError, match="100001 values, more than 100000"):
+                parse(text)
+
+    @pytest.mark.parametrize("flag, text", [("--betas", "0:100000:1"), ("--seeds", "1..100001")])
+    def test_too_long_range_exits_2(self, tmp_path, capsys, flag, text):
+        out = tmp_path / "grid.csv"
+        code, _, err = run_cli(capsys, "sweep", flag, text, "--out", str(out))
+        assert code == 2
+        assert "more than 100000" in err
+        assert not out.exists()
 
 
 class TestSimulate:

@@ -8,6 +8,7 @@ energy, satisfaction, fix and sample counts, and on drawn configs the
 full event log; traces are compared byte for byte.
 """
 
+import math
 import sys
 from pathlib import Path
 
@@ -221,3 +222,52 @@ def test_rejected_draw_matches_reference(refsim, monkeypatch, v0, duration):
     got, want = both_traces(refsim, values)
     assert got == want
     assert (got == unrigged) == (v0 == 5.0)
+
+
+@st.composite
+def near_tie_values(draw):
+    # Two or three methods whose energy per metre of room, e / (a_t - acc),
+    # is equal at requirement a_t, a few ulps apart, or apart by just less
+    # or just more than the planner's 1e-9 gap, so runs take both the
+    # planned path and the per-fix fallback with its tie-break.
+    # Rooms of a few metres give many fixes, each a fresh v_e at which
+    # rounding may reorder rates a few ulps apart.
+    values = draw(drawn_values())
+    a_t = float(draw(st.integers(40, 600)))
+    q = draw(st.floats(0.01, 100.0))
+    n = draw(st.integers(2, 3))
+    methods = []
+    for i in range(n):
+        room = draw(st.integers(2, 30)) + 0.5
+        acc = a_t - room
+        energy = q * room
+        if i:
+            energy *= 1.0 + draw(st.sampled_from([0.0, 0.99e-9, 1.01e-9, -0.99e-9, -1.01e-9]))
+            ulps = draw(st.integers(-3, 3))
+            for _ in range(abs(ulps)):
+                energy = math.nextafter(energy, math.copysign(math.inf, ulps))
+        methods.append(f"m{i}:{acc!r}:{energy!r}")
+    changes = sorted(set(draw(st.lists(st.floats(0.001, 400.0), max_size=3))))
+    reqs = draw(
+        st.lists(
+            st.just(a_t) | st.integers(1, 600).map(float),
+            min_size=len(changes),
+            max_size=len(changes),
+        )
+    )
+    entries = [(0.0, a_t)] + list(zip(changes, reqs))
+    return {
+        **values,
+        "strategy": "adaptive",
+        "methods": ";".join(methods),
+        "schedule": schedule_text(entries),
+    }
+
+
+@settings(max_examples=150)
+@given(values=near_tie_values())
+def test_near_tie_method_sets_match_reference_event_for_event(refsim, values):
+    ours, ref = both_configs(refsim, values)
+    got, want = run(ours), refsim.simulator.run(ref)
+    assert outcome(got) == outcome(want)
+    assert event_tuples(got) == event_tuples(want)

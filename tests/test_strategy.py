@@ -36,6 +36,7 @@ from locsim.strategy import (
     most_accurate_method,
     on_velocity_sample,
     parse_methods,
+    plan_method,
     select_method,
 )
 
@@ -203,6 +204,63 @@ class TestSelectMethod:
         assert most_accurate_method(DEFAULT_METHODS) is GPS
 
 
+class TestPlanMethod:
+    """The per-requirement plan is select_method's choice at every v_e in
+    [1, v_hi], or None (select per fix)."""
+
+    @pytest.mark.parametrize("a_t", [500.0, 300.0, 150.0, 120.0, 80.0, 50.0])
+    def test_default_requirements_match_select_method(self, a_t):
+        plan = plan_method(DEFAULT_METHODS, a_t, 20.0)
+        assert plan is not None
+        for v_e in (1.0, 5.5, 10.0):
+            assert select_method(DEFAULT_METHODS, a_t, v_e) is plan
+
+    def test_none_for_overflowing_rate(self):
+        assert plan_method((Method("gps", 10.0, 1e308),), 10.5, 20.0) is None
+
+    def test_none_for_subnormal_room(self):
+        assert plan_method((Method("a", 5e-324, 1.0),), 1e-323, 20.0) is None
+
+    @pytest.mark.parametrize(
+        "methods, a_t",
+        [
+            ((Method("gps", 10.0, 1e307),), 10.5),  # the rate overflows at v_e = 10
+            ((Method("a", 5e-324, 1e-320),), 1.5e-323),  # the seconds underflow at v_e = 10
+            ((Method("a", 1.0, 1e-310), Method("b", 2.0, 1e-310)), 100.0),  # subnormal rates
+        ],
+    )
+    def test_none_when_a_room_or_rate_leaves_the_normal_range(self, methods, a_t):
+        assert plan_method(methods, a_t, 20.0) is None
+
+    def test_none_on_exact_tie(self):
+        near, far = Method("near", 10.0, 90.0), Method("far", 60.0, 40.0)
+        assert plan_method((far, near), 100.0, 20.0) is None
+
+    def test_none_when_nothing_eligible(self):
+        assert plan_method(DEFAULT_METHODS, 10.0, 20.0) is None
+        assert plan_method(DEFAULT_METHODS, 5.0, 20.0) is None
+
+    def test_relative_gap_decides(self):
+        # a: 100 mJ over 100 m of room; b's energy per metre is 1 + rel.
+        a = Method("a", 1.0, 100.0)
+        assert plan_method((a, Method("b", 51.0, 50.0 * (1 + 2e-9))), 101.0, 20.0) is a
+        assert plan_method((a, Method("b", 51.0, 50.0 * (1 + 5e-10))), 101.0, 20.0) is None
+
+    def test_matches_brute_force_on_random_instances(self):
+        rng = random.Random(6)
+        planned = 0
+        for _ in range(2000):
+            methods, a_t, _ = random_instance(rng)
+            v_hi = rng.uniform(1.0, 40.0)
+            plan = plan_method(methods, a_t, v_hi)
+            if plan is None:
+                continue
+            planned += 1
+            for v_e in (1.0, v_hi, rng.uniform(1.0, v_hi)):
+                assert brute_force_select(methods, a_t, v_e) is plan
+        assert planned > 1000
+
+
 def step_trace_run(velocities, schedule="0:500", alpha=0.5, beta=1.0):
     """Run over a trace that may change velocity every second (t1_s=1)."""
     params = MobilityParams(duration_s=len(velocities), t1_s=1, v_min=1.0, v_max=10.0,
@@ -254,12 +312,13 @@ class TestBeginEpoch:
         # gps beats 10.5 m, but 1e308 mJ over 0.5 m of room overflows to inf.
         gps = Method("gps", 10.0, 1e308)
         cfg = StrategyConfig(alpha=0.5, beta=0.3, methods=(gps,), t_min_refix_s=2.0)
-        assert begin_epoch(cfg, 10.5, 5.0, None) == (5.0, gps, 2.0, 2.0)
+        assert plan_method(cfg.methods, 10.5, 20.0) is None
+        assert begin_epoch(cfg, 10.5, 5.0, None, None) == (5.0, gps, 2.0, 2.0)
 
     def test_nonpositive_requirement_raises(self):
         for a_t in (0.0, -3.0):
             with pytest.raises(ConfigError):
-                begin_epoch(StrategyConfig(alpha=0.5, beta=1.0), a_t, 5.0, 5.0)
+                begin_epoch(StrategyConfig(alpha=0.5, beta=1.0), a_t, 5.0, 5.0, None)
 
 
 class TestOnVelocitySample:
