@@ -28,7 +28,6 @@ from .config import (
 )
 from .errors import ConfigError
 from .simulator import (
-    SweepRow,
     figure_series,
     run,
     summary_to_csv,
@@ -126,17 +125,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     values = _resolved(args)
     cfg = build_simulation_config(values)
     result = run(cfg, record_events=args.out is not None)
-    row = SweepRow(
-        kind=str(values["strategy"]),
-        alpha=float(values["alpha"]),
-        beta=float(values["beta"]),
-        seed=int(values["seed"]),
-        total_energy_mJ=result.total_energy_mJ,
-        satisfaction=result.satisfaction,
-        fix_count=result.fix_count,
-        sample_count=result.sample_count,
-    )
-    sys.stdout.write(summary_to_csv([row]))
+    sys.stdout.write(summary_to_csv([result]))
     if args.out is not None:
         write_events_csv(result.events, args.out)
     return 0
@@ -173,7 +162,7 @@ def write_figures(tables: dict[str, list[tuple[float, float, float]]], out_dir) 
             f"{beta:.6f},{gps_value:.6f},{ours_value:.6f}"
             for beta, gps_value, ours_value in tables[name]
         )
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", newline="")
         paths.append(path)
     return paths
 

@@ -72,8 +72,11 @@ def parse_config_text(text: str) -> dict[str, object]:
 
 
 def load_config_file(path) -> dict[str, object]:
-    with open(path, "r") as fh:
-        return parse_config_text(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_config_text(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {str(path)!r} is not UTF-8: {exc}") from None
 
 
 def resolve_config(

@@ -49,7 +49,6 @@ __all__ = [
     "EVENT_SCHEDULE_CHANGE",
     "RunResult",
     "run",
-    "SweepRow",
     "SweepMean",
     "sweep",
     "sweep_means",
@@ -171,11 +170,17 @@ class Event(NamedTuple):
 
 @dataclass(frozen=True)
 class RunResult:
+    """One run's summary-CSV row, its coordinates taken from its config, then its events."""
+
+    kind: str
+    alpha: float
+    beta: float
+    seed: int
     total_energy_mJ: float
     satisfaction: float
     fix_count: int
     sample_count: int
-    events: tuple[Event, ...]
+    events: tuple[Event, ...] = ()
 
 
 def on_requirement_change(
@@ -313,11 +318,15 @@ def run(
         np.array(fix_times, dtype=float), np.array(fix_rooms, dtype=float), trace
     )
     return RunResult(
-        total_energy_mJ=energy,
-        satisfaction=satisfaction,
-        fix_count=len(fix_times),
-        sample_count=samples,
-        events=_with_positions(log, trace),
+        config.strategy_kind,
+        alpha,
+        beta,
+        config.mobility.seed,
+        energy,
+        satisfaction,
+        len(fix_times),
+        samples,
+        _with_positions(log, trace),
     )
 
 
@@ -361,18 +370,6 @@ def _satisfaction_exact(
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    kind: str
-    alpha: float
-    beta: float
-    seed: int
-    total_energy_mJ: float
-    satisfaction: float
-    fix_count: int
-    sample_count: int
-
-
-@dataclass(frozen=True)
 class SweepMean:
     kind: str
     alpha: float
@@ -389,7 +386,7 @@ def sweep(
     betas: Sequence[float],
     seeds: Sequence[int],
     kinds: Sequence[str],
-) -> list[SweepRow]:
+) -> list[RunResult]:
     """Run the grid in deterministic (kind, alpha, beta, seed) order.
 
     The mobility trace depends on the seed only, so each seed's trace is
@@ -398,45 +395,34 @@ def sweep(
     if not alphas or not betas or not seeds or not kinds:
         raise ConfigError("sweep needs at least one alpha, beta, seed and kind")
     traces: dict[int, MotionTrace] = {}
-    rows: list[SweepRow] = []
+    rows: list[RunResult] = []
     for kind in kinds:
         for alpha in alphas:
             for beta in betas:
                 for seed in seeds:
                     try:
-                        mobility = replace(base.mobility, seed=seed)
                         trace = traces.get(seed)
                         if trace is None:
-                            trace = traces[seed] = generate_trace(mobility)
+                            trace = traces[seed] = generate_trace(
+                                replace(base.mobility, seed=seed)
+                            )
                         cfg = replace(
                             base,
-                            mobility=mobility,
+                            mobility=trace.params,
                             strategy_cfg=replace(base.strategy_cfg, alpha=alpha, beta=beta),
                             strategy_kind=kind,
                         )
-                        result = run(cfg, trace=trace, record_events=False)
+                        rows.append(run(cfg, trace=trace, record_events=False))
                     except ConfigError as exc:
                         raise ConfigError(
                             f"sweep cell kind={kind} alpha={alpha} beta={beta} seed={seed}: {exc}"
                         ) from exc
-                    rows.append(
-                        SweepRow(
-                            kind,
-                            alpha,
-                            beta,
-                            seed,
-                            result.total_energy_mJ,
-                            result.satisfaction,
-                            result.fix_count,
-                            result.sample_count,
-                        )
-                    )
     return rows
 
 
-def sweep_means(rows: Sequence[SweepRow]) -> list[SweepMean]:
+def sweep_means(rows: Sequence[RunResult]) -> list[SweepMean]:
     """Per-(kind, alpha, beta) means over seeds, in first-appearance order."""
-    grouped: dict[tuple[str, float, float], list[SweepRow]] = {}
+    grouped: dict[tuple[str, float, float], list[RunResult]] = {}
     for row in rows:
         grouped.setdefault((row.kind, row.alpha, row.beta), []).append(row)
     means: list[SweepMean] = []
@@ -489,7 +475,7 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def summary_to_csv(rows: Sequence[SweepRow]) -> str:
+def summary_to_csv(rows: Sequence[RunResult]) -> str:
     lines = [SUMMARY_CSV_HEADER]
     for r in rows:
         lines.append(
@@ -499,7 +485,7 @@ def summary_to_csv(rows: Sequence[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_summary_csv(rows: Sequence[SweepRow], path) -> None:
+def write_summary_csv(rows: Sequence[RunResult], path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(summary_to_csv(rows))
 

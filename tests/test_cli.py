@@ -94,6 +94,14 @@ class TestSimulate:
         assert code == 2
         assert "velocity_cap" in err
 
+    def test_non_utf8_config_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed = 1\n\xff\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--duration", "10")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "not UTF-8" in err
+
     @pytest.mark.parametrize(
         ("text", "message"),
         [

@@ -25,7 +25,7 @@ from locsim.simulator import (
     summary_to_csv,
     sweep,
     sweep_means,
-    SweepRow,
+    RunResult,
 )
 from locsim.strategy import DEFAULT_METHODS, Method, StrategyConfig
 
@@ -116,6 +116,16 @@ class TestRunClosedForm:
         assert result.total_energy_mJ == 37 * 1425.0
         fixes = [e.time_s for e in result.events if e.kind == EVENT_FIX]
         assert fixes == [98.0 * i for i in range(37)]
+
+    def test_result_coordinates_come_from_config(self, make_constant_config):
+        config = make_constant_config(alpha=0.3, beta=0.2, kind="fixed:gps")
+        result = run(config)
+        assert (result.kind, result.alpha, result.beta, result.seed) == (
+            config.strategy_kind,
+            config.strategy_cfg.alpha,
+            config.strategy_cfg.beta,
+            config.mobility.seed,
+        )
 
     def test_zero_duration_run(self, make_constant_config):
         result = run(make_constant_config(duration=0))
@@ -331,13 +341,7 @@ class TestSweep:
     def test_singleton_sweep_matches_run(self):
         base = self.base()
         row = sweep(base, [0.5], [1.0], [1], ["adaptive"])[0]
-        result = run(base, record_events=False)
-        assert (row.total_energy_mJ, row.satisfaction, row.fix_count, row.sample_count) == (
-            result.total_energy_mJ,
-            result.satisfaction,
-            result.fix_count,
-            result.sample_count,
-        )
+        assert row == run(base, record_events=False)
 
     def test_invalid_cell_reports_coordinates(self):
         with pytest.raises(ConfigError, match=r"kind=fixed:nope .*seed=2"):
@@ -363,13 +367,13 @@ class TestSweep:
 class TestCsvRoundTrips:
     def test_summary_roundtrip(self):
         rows = [
-            SweepRow("adaptive", 0.5, 1.0, 7, 1040.0, 1.0, 52, 51),
-            SweepRow("fixed:gps", 0.3, 0.1, 2, 52725.0, 0.75, 37, 370),
+            RunResult("adaptive", 0.5, 1.0, 7, 1040.0, 1.0, 52, 51),
+            RunResult("fixed:gps", 0.3, 0.1, 2, 52725.0, 0.75, 37, 370),
         ]
         types = (str, float, float, int, float, float, int, int)
         header, *body = csv.reader(io.StringIO(summary_to_csv(rows)))
         assert header == SUMMARY_CSV_HEADER.split(",")
-        back = [SweepRow(*(convert(x) for convert, x in zip(types, row))) for row in body]
+        back = [RunResult(*(convert(x) for convert, x in zip(types, row))) for row in body]
         assert back == rows
 
     def test_events_roundtrip_parseable(self, make_constant_config):
