@@ -34,6 +34,11 @@ __all__ = [
     "times_at_positions",
 ]
 
+# The longest horizon accepted. A trace keeps several values per simulated
+# second in memory, so a longer one is refused instead of exhausting it (the
+# paper's runs are 3600 s).
+MAX_DURATION_S = 1_000_000
+
 # Velocities are v0 + k for integer k, so a step of +-1 m/s between seconds
 # can differ from 1 by float rounding; allow this much slack.
 _STEP_SLACK = 2e-6
@@ -57,6 +62,8 @@ class MobilityParams:
     def __post_init__(self) -> None:
         if not isinstance(self.duration_s, int) or self.duration_s < 0:
             raise ConfigError(f"duration_s must be a non-negative integer, got {self.duration_s!r}")
+        if self.duration_s > MAX_DURATION_S:
+            raise ConfigError(f"duration_s must be at most {MAX_DURATION_S}, got {self.duration_s!r}")
         if not isinstance(self.t1_s, int) or self.t1_s < 1:
             raise ConfigError(f"t1_s must be a positive integer, got {self.t1_s!r}")
         for name in ("v_min", "v_max", "v0"):

@@ -212,18 +212,18 @@ def run(
 
     The scheduler is one loop over Python floats, one epoch per outer
     iteration. Each fix opens an epoch with
-    :func:`~locsim.strategy.begin_epoch`, which folds the velocity at the
-    fix into the EWMA ``v_e`` and takes the method that
+    :func:`~locsim.strategy.begin_epoch`, called once per fix, which folds
+    the velocity at the fix into the EWMA ``v_e`` and takes the method that
     :func:`~locsim.strategy.plan_method` chose for the requirement in force,
     or selects one at this ``v_e`` when there is no plan. A positive room
     (requirement minus method accuracy) is sampled every ``t_s * beta``
-    seconds. Each sample goes through
-    :func:`~locsim.strategy.on_velocity_sample`, and the sample at which
-    the distance estimate ``r_i`` reaches the room calls for a fix at that
-    same instant. A room <= 0 (no method beats the requirement) re-fixes
-    every ``t_min_refix_s`` instead. At each change of the requirement
-    :func:`on_requirement_change` moves to the next schedule entry, and the
-    method is planned again.
+    seconds. Each sample calls :func:`~locsim.strategy.on_velocity_sample`,
+    the one EWMA, once, and the loop itself advances the distance estimate
+    ``r_i`` by ``v_e * t_s * beta``; the sample at which ``r_i`` reaches the
+    room calls for a fix at that same instant. A room <= 0 (no method beats
+    the requirement) re-fixes every ``t_min_refix_s`` instead. At each
+    change of the requirement :func:`on_requirement_change` moves to the
+    next schedule entry, and the method is planned again.
     """
     if trace is None:
         trace = generate_trace(config.mobility)
@@ -283,7 +283,8 @@ def run(
             n = 0  # samples taken in this epoch
             while t_next < bound:
                 v = vel[int(t_next)]
-                v_e, r_i = on_velocity_sample(v_e, r_i, v, alpha, step)
+                v_e = on_velocity_sample(v_e, v, alpha)
+                r_i += v_e * step
                 n += 1
                 if not r_i < limit:
                     fix_due = True

@@ -12,8 +12,8 @@ every ``t_s * beta`` seconds and each sample advances the distance
 estimate by ``v_e * t_s * beta``. The event loop that does this is
 :func:`locsim.simulator.run`; this module holds what it is configured with
 and the steps it calls: :func:`plan_method` when a requirement comes into
-force, :func:`begin_epoch` at every fix and :func:`on_velocity_sample` at
-every sample.
+force, :func:`begin_epoch` once per fix and :func:`on_velocity_sample`, the
+one EWMA, once per sample. The loop advances the distance estimate itself.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "DEFAULT_METHODS_TEXT",
     "DEFAULT_METHODS",
     "parse_methods",
-    "ewma_update",
     "cost_rate",
     "select_method",
     "plan_method",
@@ -130,12 +129,13 @@ class StrategyConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
 
 
-def ewma_update(v_e_prev: float, v_new: float, alpha: float) -> float:
-    """One EWMA step: alpha weighs the fresh sample, 1-alpha the history.
+def on_velocity_sample(v_e: float, v: float, alpha: float) -> float:
+    """The EWMA after the velocity sample ``v``: alpha weighs the fresh
+    sample, 1-alpha the history ``v_e``.
 
     ``alpha`` is not checked here: :class:`StrategyConfig` validates it once.
     """
-    return alpha * v_new + (1.0 - alpha) * v_e_prev
+    return alpha * v + (1.0 - alpha) * v_e
 
 
 def cost_rate(method: Method, a_t: float, v_e: float) -> float:
@@ -222,8 +222,9 @@ def begin_epoch(
 ) -> tuple[float, Method, float, float]:
     """Open the epoch that starts at a fix under requirement ``a_t``.
 
-    Folds the fix-time velocity ``v`` into the EWMA ``v_e`` (None before
-    the first fix, which sets it to ``v``) and takes the method: ``plan``,
+    Folds the fix-time velocity ``v`` into the EWMA ``v_e`` with
+    :func:`on_velocity_sample` (None before the first fix, which sets it to
+    ``v``) and takes the method: ``plan``,
     the :func:`plan_method` choice for ``a_t``, or when that is None the
     :func:`select_method` choice at this ``v_e``. Returns
     (v_e, method, t_s, wait): the epoch interval t_s = (a_t - accuracy_m) /
@@ -236,21 +237,12 @@ def begin_epoch(
     """
     if a_t <= 0:
         raise ConfigError(f"accuracy requirement must be > 0, got {a_t!r}")
-    v_e = v if v_e is None else ewma_update(v_e, v, cfg.alpha)
+    # Called through this module's name, not the one locsim.simulator
+    # imports, so calls of that name stay one per sample.
+    v_e = v if v_e is None else on_velocity_sample(v_e, v, cfg.alpha)
     method = plan if plan is not None else select_method(cfg.methods, a_t, v_e)
     if method is None:
         return v_e, most_accurate_method(cfg.methods), cfg.t_min_refix_s, cfg.t_min_refix_s
     t_s = (a_t - method.accuracy_m) / v_e
     return v_e, method, t_s, t_s * cfg.beta
 
-
-def on_velocity_sample(
-    v_e: float, r_i: float, v: float, alpha: float, step: float
-) -> tuple[float, float]:
-    """Fold the velocity sample ``v`` into the EWMA and advance the estimate.
-
-    Returns (v_e, r_i): the EWMA after ``v`` and the distance estimate
-    after ``v_e * step`` more metres, ``step`` being the sampling interval.
-    """
-    v_e = ewma_update(v_e, v, alpha)
-    return v_e, r_i + v_e * step

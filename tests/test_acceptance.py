@@ -24,7 +24,7 @@ from locsim.simulator import (
     run,
     sweep,
 )
-from locsim.strategy import DEFAULT_METHODS, StrategyConfig, ewma_update, select_method
+from locsim.strategy import DEFAULT_METHODS, StrategyConfig, on_velocity_sample, select_method
 
 # A per-epoch cost estimate with velocity pinned at the mobility midpoint
 # (5.5 m/s) puts the adaptive/gps energy ratio near 0.77: the two tightest
@@ -106,7 +106,7 @@ def test_02_distance_estimate_worked_example():
     # actually covered 30 m, which the three estimates bracket.
     cases = {0.5: 36.0, 0.3: 24.8, 0.1: 13.6}
     for alpha, expected in cases.items():
-        estimate = ewma_update(2.0, 16.0, alpha) * 4.0
+        estimate = on_velocity_sample(2.0, 16.0, alpha) * 4.0
         assert estimate == pytest.approx(expected, abs=1e-9)
     assert cases[0.1] < 30.0 < cases[0.5]
     _pass(2, "distance estimates 36.0 / 24.8 / 13.6 within 1e-9")

@@ -7,6 +7,7 @@ import pytest
 
 from locsim.cli import MAX_LIST_VALUES, main, parse_float_list, parse_seed_list
 from locsim.errors import ConfigError
+from locsim.mobility import MAX_DURATION_S
 
 SUMMARY_HEADER = "kind,alpha,beta,seed,total_energy_mJ,satisfaction,fix_count,sample_count"
 GOLDEN_SEED7_ROW = "adaptive,0.500000,1.000000,7,149185.000000,0.655144,230,322"
@@ -141,6 +142,23 @@ class TestSimulate:
         )
         assert proc.returncode == 2
         assert "underflow" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_huge_duration_exits_2_without_traceback(self):
+        # A trace of 10^11 s would need over 100 GiB; the address-space cap
+        # keeps a regression from allocating anything large before it fails.
+        resource = pytest.importorskip("resource")
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "locsim", "simulate", "--duration", "100000000000"],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space,
+        )
+        assert proc.returncode == 2
+        assert f"duration_s must be at most {MAX_DURATION_S}" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from locsim.errors import ConfigError
 from locsim.mobility import (
+    MAX_DURATION_S,
     MobilityParams,
     MotionTrace,
     generate_trace,
@@ -32,6 +33,7 @@ class TestMobilityParams:
         good = dict(duration_s=10, t1_s=3, v_min=1.0, v_max=10.0, v0=5.0, seed=1)
         for bad in (
             dict(duration_s=-1),
+            dict(duration_s=MAX_DURATION_S + 1),
             dict(t1_s=0),
             dict(v_min=0.5),
             dict(v_max=0.5),

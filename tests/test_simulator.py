@@ -8,6 +8,8 @@ import random
 import numpy as np
 import pytest
 
+import locsim.simulator as simulator
+from locsim.config import DEFAULT_SCHEDULE_TEXT, DEFAULTS, build_simulation_config
 from locsim.errors import ConfigError
 from locsim.mobility import MobilityParams, MotionTrace, generate_trace
 from locsim.simulator import (
@@ -203,6 +205,39 @@ class TestEventProtocol:
         fix0 = result.events[0]
         expected = 0.5 * first_sample.velocity_mps + 0.5 * fix0.v_e_mps
         assert first_sample.v_e_mps == pytest.approx(expected, abs=1e-12)
+
+
+class TestStepCallContract:
+    """``run`` calls ``begin_epoch`` once per fix and ``on_velocity_sample``
+    once per sample, through the names ``locsim.simulator`` imports; the
+    per-layer benchmark counts fixes and samples by wrapping those names."""
+
+    @pytest.mark.parametrize(
+        "schedule, record_events",
+        [(DEFAULT_SCHEDULE_TEXT, True), ("0:5", True), (DEFAULT_SCHEDULE_TEXT, False)],
+        ids=["adaptive", "fallback", "no-events"],
+    )
+    def test_one_call_per_fix_and_per_sample(self, monkeypatch, schedule, record_events):
+        calls = {"begin_epoch": 0, "on_velocity_sample": 0}
+        for name in calls:
+            fn = getattr(simulator, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(simulator, name, counted)
+        cfg = build_simulation_config({**DEFAULTS, "schedule": schedule})
+        result = run(cfg, record_events=record_events)
+        if schedule == "0:5":
+            # No method beats 5 m: the room is <= 0 and the run only re-fixes.
+            assert result.sample_count == 0 and result.fix_count > 1
+        else:
+            assert len(cfg.schedule.entries) == 6 and result.sample_count > 0
+        assert calls == {
+            "begin_epoch": result.fix_count,
+            "on_velocity_sample": result.sample_count,
+        }
 
 
 class TestMetrics:

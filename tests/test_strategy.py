@@ -32,7 +32,6 @@ from locsim.strategy import (
     StrategyConfig,
     begin_epoch,
     cost_rate,
-    ewma_update,
     most_accurate_method,
     on_velocity_sample,
     parse_methods,
@@ -106,18 +105,18 @@ class TestStrategyConfig:
 
 class TestEwma:
     def test_worked_sample_pair(self):
-        assert ewma_update(2.0, 16.0, 0.5) == pytest.approx(9.0, abs=1e-12)
-        assert ewma_update(2.0, 16.0, 0.3) == pytest.approx(6.2, abs=1e-12)
-        assert ewma_update(2.0, 16.0, 0.1) == pytest.approx(3.4, abs=1e-12)
+        assert on_velocity_sample(2.0, 16.0, 0.5) == pytest.approx(9.0, abs=1e-12)
+        assert on_velocity_sample(2.0, 16.0, 0.3) == pytest.approx(6.2, abs=1e-12)
+        assert on_velocity_sample(2.0, 16.0, 0.1) == pytest.approx(3.4, abs=1e-12)
 
     def test_alpha_one_tracks_newest_sample(self):
-        assert ewma_update(3.0, 8.0, 1.0) == 8.0
+        assert on_velocity_sample(3.0, 8.0, 1.0) == 8.0
 
     def test_fixed_point(self):
-        assert ewma_update(7.0, 7.0, 0.42) == pytest.approx(7.0, abs=1e-12)
+        assert on_velocity_sample(7.0, 7.0, 0.42) == pytest.approx(7.0, abs=1e-12)
 
     def test_alpha_out_of_range_raises(self):
-        # ewma_update trusts its alpha; StrategyConfig is where it is checked.
+        # on_velocity_sample trusts its alpha; StrategyConfig is where it is checked.
         for alpha in (0.0, -0.1, 1.0001):
             with pytest.raises(ConfigError):
                 StrategyConfig(alpha=alpha, beta=1.0)
@@ -128,7 +127,7 @@ class TestEwma:
         alpha=st.floats(min_value=0.001, max_value=1.0, allow_nan=False),
     )
     def test_stays_between_inputs(self, prev, new, alpha):
-        out = ewma_update(prev, new, alpha)
+        out = on_velocity_sample(prev, new, alpha)
         assert min(prev, new) - 1e-9 <= out <= max(prev, new) + 1e-9
 
 
@@ -325,8 +324,8 @@ class TestOnVelocitySample:
     """Each sample folds into the EWMA and may exhaust the budget, calling a fix."""
 
     def test_folds_sample_then_advances_estimate(self):
-        # EWMA 0.5 * 16 + 0.5 * 2 = 9 m/s, then 9 m/s over a 10 s step.
-        assert on_velocity_sample(2.0, 1.0, 16.0, 0.5, 10.0) == (9.0, 91.0)
+        # EWMA 0.5 * 16 + 0.5 * 2 = 9 m/s; run advances the estimate by it.
+        assert on_velocity_sample(2.0, 16.0, 0.5) == 9.0
 
     def test_single_shot_fix_at_epoch_end(self, make_constant_config):
         result = run(make_constant_config(v=5.0, duration=100, beta=1.0))
