@@ -127,7 +127,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     result = run(cfg, record_events=args.out is not None)
     sys.stdout.write(summary_to_csv([result]))
     if args.out is not None:
-        write_events_csv(result.events, args.out)
+        write_events_csv(result.log, args.out)
     return 0
 
 

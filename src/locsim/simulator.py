@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -32,6 +33,7 @@ from .mobility import (
 )
 from .strategy import (
     BUDGET_REL_TOL,
+    PLAN_MAX,
     Method,
     StrategyConfig,
     begin_epoch,
@@ -48,6 +50,8 @@ __all__ = [
     "EVENT_SAMPLE",
     "EVENT_SCHEDULE_CHANGE",
     "RunResult",
+    "MAX_EVENTS",
+    "event_bounds",
     "run",
     "SweepMean",
     "sweep",
@@ -170,7 +174,11 @@ class Event(NamedTuple):
 
 @dataclass(frozen=True)
 class RunResult:
-    """One run's summary-CSV row, its coordinates taken from its config, then its events."""
+    """One run's summary-CSV row, its coordinates taken from its config, then its event log.
+
+    ``log`` holds one plain tuple per event, in :class:`Event` field order;
+    :attr:`events` builds the :class:`Event` records from it on first access.
+    """
 
     kind: str
     alpha: float
@@ -180,7 +188,12 @@ class RunResult:
     satisfaction: float
     fix_count: int
     sample_count: int
-    events: tuple[Event, ...] = ()
+    log: tuple[tuple, ...] = ()
+
+    @cached_property
+    def events(self) -> tuple[Event, ...]:
+        """``log`` as :class:`Event` records, built once."""
+        return tuple(Event(*row) for row in self.log)
 
 
 def on_requirement_change(
@@ -197,6 +210,87 @@ def on_requirement_change(
     return a_t, entries[i + 1][0] if i + 1 < len(entries) else math.inf
 
 
+# The most fixes plus samples that :func:`event_bounds` may allow one run.
+# The paper's runs are allowed about 1.3e4 at beta 0.1; a config allowed
+# more than this would take hours and fill memory with its event log.
+MAX_EVENTS = 10**8
+
+
+def _steps(span: float, step: float, ulp: float) -> float:
+    """The most advances of at least ``step`` that fit in ``span``, each
+    shortened by up to ``ulp`` of rounding; inf when rounding could stall."""
+    if span <= 0.0:
+        return 0.0
+    return span / (step - ulp) if step > ulp else math.inf
+
+
+def event_bounds(config: SimulationConfig) -> tuple[float, float]:
+    """Upper bounds on a run's fix and sample counts, from ``config`` alone.
+
+    Within each schedule span of length L under the horizon, every epoch
+    with a positive room lasts until the distance estimate, which grows at
+    most at 2 * v_max, reaches the room; so with rho the smallest positive
+    room of the methods the run uses, fixes <= 1 + L * 2 * v_max / (rho *
+    (1 - BUDGET_REL_TOL)), and samples, each at least rho * beta / (2 *
+    v_max) after the last, <= fixes + L * 2 * v_max / (rho * beta). A span
+    that can fall back (no method beats the requirement, or a rate could
+    overflow) adds L / t_min_refix_s fixes and, when it samples, L /
+    (t_min_refix_s * beta) samples. Each advance is taken shortened by the
+    float spacing at the span's end, and one that spacing could round away
+    gives an infinite bound.
+    """
+    cfg = config.strategy_cfg
+    pinned = config.pinned_method()
+    return _event_bounds(
+        config.schedule.entries,
+        cfg.methods if pinned is None else (pinned,),
+        float(config.mobility.duration_s),
+        2.0 * config.mobility.v_max,
+        cfg.beta,
+        cfg.t_min_refix_s,
+    )
+
+
+# The bounds do not depend on the seed or alpha, so the runs of a sweep
+# share them; the cache keeps the preflight off each run's cost.
+@lru_cache(maxsize=64)
+def _event_bounds(
+    entries: tuple[tuple[float, float], ...],
+    methods: tuple[Method, ...],
+    duration: float,
+    v_hi: float,
+    beta: float,
+    t_min: float,
+) -> tuple[float, float]:
+    near = 1.0 - BUDGET_REL_TOL
+    ends = [start for start, _ in entries[1:]]
+    ends.append(math.inf)
+    fixes = samples = 0.0
+    for (start, a_t), end in zip(entries, ends):
+        if start >= duration and start > 0.0:
+            break
+        end = min(end, duration)
+        span, ulp = end - start, math.ulp(end)
+        rho, overflow = math.inf, False
+        for m in methods:
+            room = a_t - m.accuracy_m
+            if room > 0.0:
+                rho = min(rho, room)
+                overflow = overflow or m.energy_mJ / room * v_hi > PLAN_MAX
+        span_fixes, span_samples = 1.0, 0.0
+        if rho == math.inf:
+            span_fixes += _steps(span, t_min, ulp)
+        else:
+            span_fixes += _steps(span, rho * near / v_hi, ulp)
+            span_samples += _steps(span, rho * beta / v_hi, ulp)
+            if overflow:
+                span_fixes += _steps(span, t_min, ulp)
+                span_samples += _steps(span, t_min * beta, ulp)
+        fixes += span_fixes
+        samples += span_fixes + span_samples
+    return fixes, samples
+
+
 def run(
     config: SimulationConfig,
     *,
@@ -208,7 +302,9 @@ def run(
     ``trace`` may supply a pre-generated trace for the same mobility
     parameters (useful when sweeping strategy knobs over a shared seed).
     With ``record_events=False`` the event log is left empty; every metric
-    is unchanged.
+    is unchanged. A config whose :func:`event_bounds` add up to more than
+    :data:`MAX_EVENTS` is refused with :class:`ConfigError` before any
+    trace is generated.
 
     The scheduler is one loop over Python floats, one epoch per outer
     iteration. Each fix opens an epoch with
@@ -224,7 +320,26 @@ def run(
     the requirement) re-fixes every ``t_min_refix_s`` instead. At each
     change of the requirement :func:`on_requirement_change` moves to the
     next schedule entry, and the method is planned again.
+
+    Each event is logged as a plain tuple in :class:`Event` field order,
+    its position computed in the loop as ``cum[k] + (t - k) * v`` with
+    ``k = int(t)``: the float expression of
+    :func:`~locsim.mobility.positions_at`. :attr:`RunResult.events` builds
+    the :class:`Event` records from that log only when it is read.
     """
+    most = sum(event_bounds(config))
+    if most == math.inf:
+        raise ConfigError(
+            "an epoch or re-fix period is too short to advance the event time "
+            "(rounding or underflow); raise t_min_refix_s or the rooms "
+            "(requirement minus method accuracy)"
+        )
+    if most > MAX_EVENTS:
+        raise ConfigError(
+            f"the config allows up to {most:.3g} fixes and samples in one run, more than "
+            f"{MAX_EVENTS:.0e}; raise beta, t_min_refix_s or the rooms "
+            "(requirement minus method accuracy)"
+        )
     if trace is None:
         trace = generate_trace(config.mobility)
     elif trace.params != config.mobility:
@@ -237,6 +352,7 @@ def run(
     entries = config.schedule.entries
     duration = float(config.mobility.duration_s)
     vel = trace.velocity_list  # every event index int(t) is < duration, so in range
+    cum = trace.cumulative_m.tolist() if record_events else None
     alpha = cfg.alpha
     beta = cfg.beta
     near = 1.0 - BUDGET_REL_TOL
@@ -244,8 +360,6 @@ def run(
     # so twice v_max bounds it with room to spare.
     v_hi = 2.0 * config.mobility.v_max
 
-    # Logged as (time, kind, method, energy, velocity, v_e); positions are
-    # filled in after the loop.
     log: list[tuple] = []
     fix_times: list[float] = []
     fix_rooms: list[float] = []
@@ -268,7 +382,8 @@ def run(
         fix_times.append(t)
         fix_rooms.append(room)
         if record_events:
-            log.append((t, EVENT_FIX, method, method.energy_mJ, v, v_e))
+            k = int(t)
+            log.append((t, EVENT_FIX, method, method.energy_mJ, cum[k] + (t - k) * v, v, v_e))
             if trigger is not None:
                 log.append(trigger)
                 trigger = None
@@ -289,10 +404,16 @@ def run(
                 if not r_i < limit:
                     fix_due = True
                     if record_events:
-                        trigger = (t_next, EVENT_SAMPLE, None, None, v, v_e)
+                        k = int(t_next)
+                        trigger = (
+                            t_next, EVENT_SAMPLE, None, None, cum[k] + (t_next - k) * v, v, v_e
+                        )
                     break
                 if record_events:
-                    log.append((t_next, EVENT_SAMPLE, None, None, v, v_e))
+                    k = int(t_next)
+                    log.append(
+                        (t_next, EVENT_SAMPLE, None, None, cum[k] + (t_next - k) * v, v, v_e)
+                    )
                 t_next = t + (n + 1) * step
             samples += n
         elif t_next < bound:
@@ -307,7 +428,10 @@ def run(
             t = change_t
             v = vel[int(t)]
             if record_events:
-                log.append((t, EVENT_SCHEDULE_CHANGE, None, None, v, v_e))
+                k = int(t)
+                log.append(
+                    (t, EVENT_SCHEDULE_CHANGE, None, None, cum[k] + (t - k) * v, v, v_e)
+                )
             si += 1
             a_t, change_t = on_requirement_change(entries, si)
             plan = plan_method(cfg.methods, a_t, v_hi)
@@ -327,22 +451,7 @@ def run(
         satisfaction,
         len(fix_times),
         samples,
-        _with_positions(log, trace),
-    )
-
-
-def _with_positions(log: list[tuple], trace: MotionTrace) -> tuple[Event, ...]:
-    """Events from ``log`` rows (time, kind, method, energy, velocity, v_e),
-    with every position from one :func:`~locsim.mobility.positions_at` call."""
-    if not log:
-        return ()
-    times = np.array([row[0] for row in log], dtype=float)
-    new = tuple.__new__
-    return tuple(
-        new(Event, (t, kind, method, energy_mJ, position, v, v_e))
-        for (t, kind, method, energy_mJ, v, v_e), position in zip(
-            log, positions_at(trace, times).tolist()
-        )
+        tuple(log),
     )
 
 
@@ -506,20 +615,27 @@ def write_mean_csv(means: Sequence[SweepMean], path) -> None:
         fh.write(means_to_csv(means))
 
 
-def events_to_csv(events: Sequence[Event]) -> str:
-    # "%.6f" % x is the same string as _fmt(x) for every float.
-    lines = [EVENT_CSV_HEADER]
-    for t, kind, method, energy_mJ, position, v, v_e in events:
+# "%.6f" % x is the same string as f"{x:.6f}" for every float.
+_EVENT_ROW = "%.6f,%s,,,%.6f,%.6f,%.6f\n"
+_FIX_ROW = "%.6f,%s,%s,%.6f,%.6f,%.6f,%.6f\n"
+
+
+def events_to_csv(rows: Sequence[tuple]) -> str:
+    """The event CSV of ``rows``: 7-tuples in :class:`Event` field order, such
+    as :attr:`RunResult.log` or :attr:`RunResult.events`, formatted with one
+    ``%`` over the whole log."""
+    templates: list[str] = []
+    values: list = []
+    for t, kind, method, energy_mJ, position, v, v_e in rows:
         if method is None:
-            lines.append("%.6f,%s,,,%.6f,%.6f,%.6f" % (t, kind, position, v, v_e))
+            templates.append(_EVENT_ROW)
+            values += (t, kind, position, v, v_e)
         else:
-            lines.append(
-                "%.6f,%s,%s,%.6f,%.6f,%.6f,%.6f"
-                % (t, kind, method.name, energy_mJ, position, v, v_e)
-            )
-    return "\n".join(lines) + "\n"
+            templates.append(_FIX_ROW)
+            values += (t, kind, method.name, energy_mJ, position, v, v_e)
+    return EVENT_CSV_HEADER + "\n" + "".join(templates) % tuple(values)
 
 
-def write_events_csv(events: Sequence[Event], path) -> None:
+def write_events_csv(rows: Sequence[tuple], path) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(events_to_csv(events))
+        fh.write(events_to_csv(rows))

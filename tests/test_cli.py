@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import locsim.simulator
 from locsim.cli import MAX_LIST_VALUES, main, parse_float_list, parse_seed_list
 from locsim.errors import ConfigError
 from locsim.mobility import MAX_DURATION_S
@@ -18,6 +19,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cap_address_space():
+    # Keeps a subprocess that regresses from allocating anything large.
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 class TestListParsing:
@@ -146,13 +154,8 @@ class TestSimulate:
         assert proc.stdout == ""
 
     def test_huge_duration_exits_2_without_traceback(self):
-        # A trace of 10^11 s would need over 100 GiB; the address-space cap
-        # keeps a regression from allocating anything large before it fails.
-        resource = pytest.importorskip("resource")
-
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
+        # A trace of 10^11 s would need over 100 GiB.
+        pytest.importorskip("resource")
         proc = subprocess.run(
             [sys.executable, "-m", "locsim", "simulate", "--duration", "100000000000"],
             capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space,
@@ -161,6 +164,55 @@ class TestSimulate:
         assert f"duration_s must be at most {MAX_DURATION_S}" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        ("flags", "config", "message"),
+        [
+            # About 10^9 samples per epoch.
+            (["--beta", "1e-9"], "", "more than 1e+08"),
+            # No method beats 5 m, so the run re-fixes every nanosecond.
+            ([], "t_min_refix_s = 1e-9\nschedule = 0:5\n", "more than 1e+08"),
+            # A room of 1e-7 m.
+            ([], "schedule = 0:10.0000001\nmethods = gps:10:1425\n", "more than 1e+08"),
+            # At t = 1e5, 1e-12 s is below the float spacing: time would stand still.
+            (
+                [],
+                "duration_s = 100001\nt_min_refix_s = 1e-12\n"
+                "schedule = 0:500,100000:5,100000.00001:500\n",
+                "too short to advance the event time",
+            ),
+        ],
+        ids=["beta", "refix", "room", "stall"],
+    )
+    def test_runaway_config_exits_2_without_traceback(self, tmp_path, flags, config, message):
+        pytest.importorskip("resource")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "e.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "locsim", "simulate", "--config", str(cfg), *flags,
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines()[-1].startswith("error: ")
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists()
+
+    def test_event_log_builds_no_event_records(self, tmp_path, capsys, monkeypatch):
+        argv = ["simulate", "--seed", "3", "--beta", "0.3", "--duration", "900", "--out"]
+        want = tmp_path / "want.csv"
+        assert run_cli(capsys, *argv, str(want))[0] == 0
+
+        def no_event(*args):
+            raise AssertionError("an Event was built")
+
+        monkeypatch.setattr(locsim.simulator, "Event", no_event)
+        got = tmp_path / "got.csv"
+        assert run_cli(capsys, *argv, str(got))[0] == 0
+        assert got.read_bytes() == want.read_bytes()
 
     def test_event_log_written_and_deterministic(self, tmp_path, capsys):
         out_a = tmp_path / "a.csv"

@@ -1,11 +1,12 @@
-"""Differential test: the event loop and trace generation against the
-frozen reference engine.
+"""Differential test: the event loop, the event CSV and trace generation
+against the frozen reference engine.
 
 ``perfbench/refsim`` is a copy of the package taken before the scheduler
 was fused into one scalar loop. It is imported read-only (no bytecode is
 written next to it) and every result is compared with exact ``==``:
 energy, satisfaction, fix and sample counts, and on drawn configs the
-full event log; traces are compared byte for byte.
+full event log and the event CSV bytes; traces are compared byte for byte.
+The drawn configs also check that no run exceeds its ``event_bounds``.
 """
 
 import math
@@ -14,12 +15,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from locsim.config import DEFAULTS, build_simulation_config
 from locsim.mobility import MobilityParams, generate_trace
-from locsim.simulator import run, sweep
+from locsim.simulator import event_bounds, events_to_csv, run, sweep
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -167,6 +168,45 @@ def test_drawn_configs_match_reference_event_for_event(refsim, values, data):
     assert outcome(got) == outcome(want)
     assert event_tuples(got) == event_tuples(want)
     assert outcome(run(ours, record_events=False)) == outcome(want)
+
+
+@st.composite
+def drawn_run_values(draw):
+    """:func:`drawn_values` with a schedule of up to four requirements, its
+    changes off the sampling grid and some past the horizon."""
+    values = draw(drawn_values())
+    changes = sorted(set(draw(st.lists(st.floats(0.001, values["duration_s"] + 50.0), max_size=3))))
+    reqs = draw(st.lists(st.integers(1, 600), min_size=len(changes) + 1, max_size=len(changes) + 1))
+    entries = [(0.0, float(reqs[0]))] + [(t, float(r)) for t, r in zip(changes, reqs[1:])]
+    return {**values, "schedule": schedule_text(entries)}
+
+
+@settings(max_examples=150)
+@given(values=drawn_run_values())
+@example(values={"duration_s": 0})
+@example(
+    values={
+        "methods": "m0:10.5:1e+308;m1:150.5:20",
+        "schedule": "0:11.0,100:500.0,200:10.75",
+        "duration_s": 300,
+        "beta": 0.3,
+    }
+)
+def test_event_csv_bytes_match_reference(refsim, values):
+    ours, ref = both_configs(refsim, values)
+    got = events_to_csv(run(ours).log)
+    want = refsim.simulator.events_to_csv(refsim.simulator.run(ref).events)
+    assert got == want
+
+
+@settings(max_examples=150)
+@given(values=drawn_run_values())
+def test_counts_stay_within_event_bounds(values):
+    config = build_simulation_config(dict(DEFAULTS, **values))
+    fixes, samples = event_bounds(config)
+    result = run(config, record_events=False)
+    assert result.fix_count <= fixes
+    assert result.sample_count <= samples
 
 
 @st.composite

@@ -11,17 +11,20 @@ import pytest
 import locsim.simulator as simulator
 from locsim.config import DEFAULT_SCHEDULE_TEXT, DEFAULTS, build_simulation_config
 from locsim.errors import ConfigError
-from locsim.mobility import MobilityParams, MotionTrace, generate_trace
+from locsim.mobility import MobilityParams, MotionTrace, generate_trace, positions_at
 from locsim.simulator import (
     EVENT_FIX,
     EVENT_SAMPLE,
     EVENT_SCHEDULE_CHANGE,
+    MAX_EVENTS,
     AccuracySchedule,
+    Event,
     SUMMARY_CSV_HEADER,
     SimulationConfig,
     _satisfaction_exact,
     on_requirement_change,
     parse_schedule,
+    event_bounds,
     events_to_csv,
     run,
     summary_to_csv,
@@ -238,6 +241,57 @@ class TestStepCallContract:
             "begin_epoch": result.fix_count,
             "on_velocity_sample": result.sample_count,
         }
+
+
+class TestEventLog:
+    @pytest.mark.parametrize("duration", [0, 1, 900])
+    def test_events_are_built_from_the_log_on_access(self, duration):
+        cfg = build_simulation_config(
+            {**DEFAULTS, "duration_s": duration, "beta": 0.3, "schedule": "0:300,500:80"}
+        )
+        result = run(cfg)
+        assert result.log and all(type(row) is tuple for row in result.log)
+        assert result.events == tuple(Event(*row) for row in result.log)
+        assert result.events is result.events
+        slim = run(cfg, record_events=False)
+        assert slim.log == () and slim.events == ()
+
+    def test_positions_are_those_of_positions_at(self):
+        cfg = build_simulation_config({**DEFAULTS, "duration_s": 900, "beta": 0.3, "seed": 4})
+        trace = generate_trace(cfg.mobility)
+        log = run(cfg, trace=trace).log
+        times = np.array([row[0] for row in log])
+        assert [row[4] for row in log] == positions_at(trace, times).tolist()
+
+
+class TestEventBounds:
+    def test_refused_before_any_trace_is_generated(self, monkeypatch):
+        def no_trace(params):
+            raise AssertionError("a trace was generated")
+
+        monkeypatch.setattr(simulator, "generate_trace", no_trace)
+        cfg = build_simulation_config({**DEFAULTS, "beta": 1e-9})
+        with pytest.raises(ConfigError, match="more than 1e\\+08"):
+            run(cfg)
+
+    def test_paper_runs_are_far_below_the_limit(self):
+        for beta in (0.1, 1.0):
+            cfg = build_simulation_config({**DEFAULTS, "beta": beta})
+            fixes, samples = event_bounds(cfg)
+            result = run(cfg, record_events=False)
+            assert result.fix_count <= fixes and result.sample_count <= samples
+            assert fixes + samples < MAX_EVENTS / 1000
+
+    def test_rounding_that_could_stall_time_is_refused(self):
+        # At t = 1e5 the float spacing is about 1.5e-11 s, so re-fixing every
+        # 1e-12 s would leave t where it is.
+        cfg = build_simulation_config(
+            {**DEFAULTS, "duration_s": 100001, "t_min_refix_s": 1e-12,
+             "schedule": "0:500,100000:5,100000.00001:500"}
+        )
+        assert event_bounds(cfg)[0] == math.inf
+        with pytest.raises(ConfigError, match="too short to advance the event time"):
+            run(cfg, record_events=False)
 
 
 class TestMetrics:
