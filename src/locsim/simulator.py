@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from itertools import product
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -33,10 +34,10 @@ from .mobility import (
 )
 from .strategy import (
     BUDGET_REL_TOL,
-    PLAN_MAX,
     Method,
     StrategyConfig,
     begin_epoch,
+    cost_rate,
     on_velocity_sample,
     plan_method,
 )
@@ -120,8 +121,6 @@ def parse_schedule(text: str) -> AccuracySchedule:
             entries.append((float(fields[0]), float(fields[1])))
         except ValueError as exc:
             raise ConfigError(f"malformed schedule entry {part!r}: {exc}") from exc
-    if not entries:
-        raise ConfigError("schedule is empty")
     return AccuracySchedule(tuple(entries))
 
 
@@ -204,10 +203,7 @@ def on_requirement_change(
     Returns its requirement and the start of the next entry, ``math.inf``
     after the last one.
     """
-    a_t = entries[i][1]
-    if a_t <= 0:
-        raise ConfigError(f"accuracy requirement must be > 0, got {a_t!r}")
-    return a_t, entries[i + 1][0] if i + 1 < len(entries) else math.inf
+    return entries[i][1], entries[i + 1][0] if i + 1 < len(entries) else math.inf
 
 
 # The most fixes plus samples that :func:`event_bounds` may allow one run.
@@ -233,11 +229,16 @@ def event_bounds(config: SimulationConfig) -> tuple[float, float]:
     room of the methods the run uses, fixes <= 1 + L * 2 * v_max / (rho *
     (1 - BUDGET_REL_TOL)), and samples, each at least rho * beta / (2 *
     v_max) after the last, <= fixes + L * 2 * v_max / (rho * beta). A span
-    that can fall back (no method beats the requirement, or a rate could
-    overflow) adds L / t_min_refix_s fixes and, when it samples, L /
-    (t_min_refix_s * beta) samples. Each advance is taken shortened by the
-    float spacing at the span's end, and one that spacing could round away
-    gives an infinite bound.
+    where no method beats the requirement re-fixes instead, adding L /
+    t_min_refix_s fixes. Each advance is taken shortened by the float
+    spacing at the span's end, and one that spacing could round away gives
+    an infinite bound.
+
+    Raises :class:`ConfigError` when a method the run uses beats a
+    requirement in the horizon but its cost rate overflows, or its seconds
+    of room underflow, at v_e = 2 * v_max. The EWMA stays below that and
+    float division rounds monotonically, so a run that passes has a finite
+    rate at every fix and falls back only where no method beats a_t.
     """
     cfg = config.strategy_cfg
     pinned = config.pinned_method()
@@ -271,24 +272,42 @@ def _event_bounds(
             break
         end = min(end, duration)
         span, ulp = end - start, math.ulp(end)
-        rho, overflow = math.inf, False
+        rho = math.inf
         for m in methods:
             room = a_t - m.accuracy_m
             if room > 0.0:
                 rho = min(rho, room)
-                overflow = overflow or m.energy_mJ / room * v_hi > PLAN_MAX
+                if cost_rate(m, a_t, v_hi) == math.inf:  # an underflow raises in cost_rate
+                    raise ConfigError(
+                        f"method {m.name}: its cost rate under requirement {a_t!r} m overflows; "
+                        "lower its energy_mJ or raise the requirement"
+                    )
         span_fixes, span_samples = 1.0, 0.0
         if rho == math.inf:
             span_fixes += _steps(span, t_min, ulp)
         else:
             span_fixes += _steps(span, rho * near / v_hi, ulp)
             span_samples += _steps(span, rho * beta / v_hi, ulp)
-            if overflow:
-                span_fixes += _steps(span, t_min, ulp)
-                span_samples += _steps(span, t_min * beta, ulp)
         fixes += span_fixes
         samples += span_fixes + span_samples
     return fixes, samples
+
+
+def _allowed_events(config: SimulationConfig) -> float:
+    """The sum of ``config``'s :func:`event_bounds`; :class:`ConfigError`
+    when it is infinite or above :data:`MAX_EVENTS`."""
+    most = sum(event_bounds(config))
+    if most > MAX_EVENTS:
+        why = (
+            "an epoch or re-fix period is too short to advance the event time"
+            if most == math.inf
+            else f"the config allows up to {most:.3g} fixes and samples in one run, "
+            f"more than {MAX_EVENTS:.0e}"
+        )
+        raise ConfigError(
+            f"{why}; raise beta, t_min_refix_s or the rooms (requirement minus method accuracy)"
+        )
+    return most
 
 
 def run(
@@ -302,22 +321,23 @@ def run(
     ``trace`` may supply a pre-generated trace for the same mobility
     parameters (useful when sweeping strategy knobs over a shared seed).
     With ``record_events=False`` the event log is left empty; every metric
-    is unchanged. A config whose :func:`event_bounds` add up to more than
-    :data:`MAX_EVENTS` is refused with :class:`ConfigError` before any
-    trace is generated.
+    is unchanged. Every :class:`ConfigError` is raised before any trace is
+    generated: by the config types, or by the preflight, which refuses what
+    :func:`event_bounds` refuses and bounds adding up to over :data:`MAX_EVENTS`.
 
     The scheduler is one loop over Python floats, one epoch per outer
     iteration. Each fix opens an epoch with
     :func:`~locsim.strategy.begin_epoch`, called once per fix, which folds
     the velocity at the fix into the EWMA ``v_e`` and takes the method that
     :func:`~locsim.strategy.plan_method` chose for the requirement in force,
-    or selects one at this ``v_e`` when there is no plan. A positive room
-    (requirement minus method accuracy) is sampled every ``t_s * beta``
-    seconds. Each sample calls :func:`~locsim.strategy.on_velocity_sample`,
-    the one EWMA, once, and the loop itself advances the distance estimate
-    ``r_i`` by ``v_e * t_s * beta``; the sample at which ``r_i`` reaches the
-    room calls for a fix at that same instant. A room <= 0 (no method beats
-    the requirement) re-fixes every ``t_min_refix_s`` instead. At each
+    or selects one at this ``v_e`` when there is no plan, and returns the
+    wait ``(a_t - accuracy_m) / v_e * beta``. A positive room (requirement
+    minus method accuracy) is sampled every wait. Each sample calls
+    :func:`~locsim.strategy.on_velocity_sample`, the one EWMA, once, and the
+    loop itself advances the distance estimate ``r_i`` by ``v_e * wait``;
+    the sample at which ``r_i`` reaches the room calls for a fix at that
+    same instant. A room <= 0 (no method beats the requirement) re-fixes
+    after a wait of ``t_min_refix_s`` instead. At each
     change of the requirement :func:`on_requirement_change` moves to the
     next schedule entry, and the method is planned again.
 
@@ -327,19 +347,7 @@ def run(
     :func:`~locsim.mobility.positions_at`. :attr:`RunResult.events` builds
     the :class:`Event` records from that log only when it is read.
     """
-    most = sum(event_bounds(config))
-    if most == math.inf:
-        raise ConfigError(
-            "an epoch or re-fix period is too short to advance the event time "
-            "(rounding or underflow); raise t_min_refix_s or the rooms "
-            "(requirement minus method accuracy)"
-        )
-    if most > MAX_EVENTS:
-        raise ConfigError(
-            f"the config allows up to {most:.3g} fixes and samples in one run, more than "
-            f"{MAX_EVENTS:.0e}; raise beta, t_min_refix_s or the rooms "
-            "(requirement minus method accuracy)"
-        )
+    _allowed_events(config)
     if trace is None:
         trace = generate_trace(config.mobility)
     elif trace.params != config.mobility:
@@ -354,7 +362,6 @@ def run(
     vel = trace.velocity_list  # every event index int(t) is < duration, so in range
     cum = trace.cumulative_m.tolist() if record_events else None
     alpha = cfg.alpha
-    beta = cfg.beta
     near = 1.0 - BUDGET_REL_TOL
     # The EWMA of velocities in [v_min, v_max] stays there up to rounding,
     # so twice v_max bounds it with room to spare.
@@ -376,7 +383,7 @@ def run(
     v_e: Optional[float] = None
     while True:
         # A fix at t; v is the velocity at t.
-        v_e, method, t_s, wait = begin_epoch(cfg, a_t, v, v_e, plan)
+        v_e, method, wait = begin_epoch(cfg, a_t, v, v_e, plan)
         room = a_t - method.accuracy_m
         energy += method.energy_mJ
         fix_times.append(t)
@@ -392,14 +399,13 @@ def run(
         fix_due = False
         t_next = t + wait
         if room > 0.0:
-            step = t_s * beta
             limit = room * near
             r_i = 0.0
             n = 0  # samples taken in this epoch
             while t_next < bound:
                 v = vel[int(t_next)]
                 v_e = on_velocity_sample(v_e, v, alpha)
-                r_i += v_e * step
+                r_i += v_e * wait
                 n += 1
                 if not r_i < limit:
                     fix_due = True
@@ -414,7 +420,7 @@ def run(
                     log.append(
                         (t_next, EVENT_SAMPLE, None, None, cum[k] + (t_next - k) * v, v, v_e)
                     )
-                t_next = t + (n + 1) * step
+                t_next = t + (n + 1) * wait
             samples += n
         elif t_next < bound:
             fix_due = True
@@ -445,7 +451,7 @@ def run(
     return RunResult(
         config.strategy_kind,
         alpha,
-        beta,
+        cfg.beta,
         config.mobility.seed,
         energy,
         satisfaction,
@@ -499,34 +505,39 @@ def sweep(
 ) -> list[RunResult]:
     """Run the grid in deterministic (kind, alpha, beta, seed) order.
 
-    The mobility trace depends on the seed only, so each seed's trace is
-    generated once and shared across strategy cells.
+    Before any trace, each (kind, alpha, beta) cell config is built once. A
+    refused cell is named with the first seed, as bounds do not depend on
+    seeds; a grid whose runs allow over :data:`MAX_EVENTS` events in all is
+    refused too. Then each seed's trace is generated once, shared by the cells.
     """
     if not alphas or not betas or not seeds or not kinds:
         raise ConfigError("sweep needs at least one alpha, beta, seed and kind")
-    traces: dict[int, MotionTrace] = {}
+    cells: list[SimulationConfig] = []
+    most = 0.0
+    for kind, alpha, beta in product(kinds, alphas, betas):
+        try:
+            strategy_cfg = replace(base.strategy_cfg, alpha=alpha, beta=beta)
+            cfg = replace(base, strategy_cfg=strategy_cfg, strategy_kind=kind)
+            most += _allowed_events(cfg) * len(seeds)
+        except ConfigError as exc:
+            raise ConfigError(
+                f"sweep cell kind={kind} alpha={alpha} beta={beta} seed={seeds[0]}: {exc}"
+            ) from exc
+        # A run allows at least two events, so a grid of any size is
+        # refused after at most MAX_EVENTS / 2 cells.
+        if most > MAX_EVENTS:
+            raise ConfigError(
+                f"the sweep's {len(kinds) * len(alphas) * len(betas) * len(seeds)} runs allow "
+                f"more than {MAX_EVENTS:.0e} fixes and samples; shrink the grid or the duration"
+            )
+        cells.append(cfg)
+    mobility = [replace(base.mobility, seed=seed) for seed in dict.fromkeys(seeds)]
+    traces = {params.seed: generate_trace(params) for params in mobility}
     rows: list[RunResult] = []
-    for kind in kinds:
-        for alpha in alphas:
-            for beta in betas:
-                for seed in seeds:
-                    try:
-                        trace = traces.get(seed)
-                        if trace is None:
-                            trace = traces[seed] = generate_trace(
-                                replace(base.mobility, seed=seed)
-                            )
-                        cfg = replace(
-                            base,
-                            mobility=trace.params,
-                            strategy_cfg=replace(base.strategy_cfg, alpha=alpha, beta=beta),
-                            strategy_kind=kind,
-                        )
-                        rows.append(run(cfg, trace=trace, record_events=False))
-                    except ConfigError as exc:
-                        raise ConfigError(
-                            f"sweep cell kind={kind} alpha={alpha} beta={beta} seed={seed}: {exc}"
-                        ) from exc
+    for cfg in cells:
+        for seed in seeds:
+            trace = traces[seed]
+            rows.append(run(replace(cfg, mobility=trace.params), trace=trace, record_events=False))
     return rows
 
 

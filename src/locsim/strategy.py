@@ -73,7 +73,7 @@ DEFAULT_METHODS_TEXT = "gps:10:1425;wifi:50:545;gsm:150:20"
 
 
 def parse_methods(text: str) -> tuple[Method, ...]:
-    """Parse ``name:accuracy_m:energy_mJ;...`` into a method tuple."""
+    """Parse ``name:accuracy_m:energy_mJ;...``; :class:`StrategyConfig` checks the set."""
     methods: list[Method] = []
     for part in text.split(";"):
         part = part.strip()
@@ -89,11 +89,6 @@ def parse_methods(text: str) -> tuple[Method, ...]:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"malformed method entry {part!r}: {exc}") from exc
-    if not methods:
-        raise ConfigError("method set is empty")
-    names = [m.name for m in methods]
-    if len(set(names)) != len(names):
-        raise ConfigError(f"duplicate method names in {text!r}")
     return tuple(methods)
 
 
@@ -123,9 +118,11 @@ class StrategyConfig:
             raise ConfigError(f"t_min_refix_s must be finite and > 0, got {self.t_min_refix_s!r}")
         if not self.methods:
             raise ConfigError("method set is empty")
-        names = [m.name for m in self.methods]
-        if len(set(names)) != len(names):
-            raise ConfigError("duplicate method names")
+        seen: set[str] = set()
+        for m in self.methods:
+            if m.name in seen:
+                raise ConfigError(f"duplicate method name {m.name!r}")
+            seen.add(m.name)
         object.__setattr__(self, "methods", tuple(self.methods))
 
 
@@ -162,12 +159,11 @@ def select_method(methods: Sequence[Method], a_t: float, v_e: float) -> Optional
     """Pick the eligible method with the lowest cost rate.
 
     Ties break on smaller accuracy_m, then lexicographic name. Returns
-    None when no method is eligible (the caller falls back to periodic
-    re-fixing with the most accurate method). The choice is independent
-    of v_e > 0, which scales every rate equally, up to rounding.
+    None when no rate is finite (the caller falls back to periodic
+    re-fixing with the most accurate method); in a run, whose preflight
+    refuses overflowing rates, only when no method beats the requirement.
+    The choice is independent of v_e > 0, up to rounding.
     """
-    if not methods:
-        raise ConfigError("method set is empty")
     best: Optional[Method] = None
     best_key: tuple[float, float, str] | None = None
     for m in methods:
@@ -191,7 +187,7 @@ def plan_method(methods: Sequence[Method], a_t: float, v_hi: float) -> Optional[
     by :data:`PLAN_REL_GAP`. Returns None when no method is eligible, on
     ties and near-ties (decided per fix by accuracy and name), and when a
     room or rate could underflow or overflow for some v_e in range (decided
-    per fix by :func:`select_method`, which may raise).
+    per fix by :func:`select_method`).
     """
     best: Optional[Method] = None
     best_q = second_q = math.inf
@@ -212,37 +208,28 @@ def plan_method(methods: Sequence[Method], a_t: float, v_hi: float) -> Optional[
 
 
 def most_accurate_method(methods: Sequence[Method]) -> Method:
-    if not methods:
-        raise ConfigError("method set is empty")
     return min(methods, key=lambda m: (m.accuracy_m, m.name))
 
 
 def begin_epoch(
     cfg: StrategyConfig, a_t: float, v: float, v_e: Optional[float], plan: Optional[Method]
-) -> tuple[float, Method, float, float]:
+) -> tuple[float, Method, float]:
     """Open the epoch that starts at a fix under requirement ``a_t``.
 
     Folds the fix-time velocity ``v`` into the EWMA ``v_e`` with
     :func:`on_velocity_sample` (None before the first fix, which sets it to
-    ``v``) and takes the method: ``plan``,
-    the :func:`plan_method` choice for ``a_t``, or when that is None the
-    :func:`select_method` choice at this ``v_e``. Returns
-    (v_e, method, t_s, wait): the epoch interval t_s = (a_t - accuracy_m) /
-    v_e, sampled every t_s * beta seconds, and the wait from the fix to the
-    first sample, t_s * beta. When :func:`select_method` finds no method
-    (none beats ``a_t``, or every cost rate overflows), the most accurate
-    method is used with t_s = wait = t_min_refix_s. Its room a_t -
-    accuracy_m is then <= 0, unless the rates overflowed; a room <= 0
-    re-fixes after the wait instead of sampling.
+    ``v``) and takes the method: ``plan``, the :func:`plan_method` choice
+    for ``a_t``, or when that is None the :func:`select_method` choice at
+    this ``v_e``. Returns (v_e, method, wait): the epoch is sampled every
+    wait = (a_t - accuracy_m) / v_e * beta seconds, from the fix on. When
+    :func:`select_method` finds no method, the most accurate one is used
+    and wait = t_min_refix_s. In a run its room a_t - accuracy_m is then
+    <= 0, so it re-fixes after the wait instead of sampling.
     """
-    if a_t <= 0:
-        raise ConfigError(f"accuracy requirement must be > 0, got {a_t!r}")
     # Called through this module's name, not the one locsim.simulator
     # imports, so calls of that name stay one per sample.
     v_e = v if v_e is None else on_velocity_sample(v_e, v, cfg.alpha)
     method = plan if plan is not None else select_method(cfg.methods, a_t, v_e)
     if method is None:
-        return v_e, most_accurate_method(cfg.methods), cfg.t_min_refix_s, cfg.t_min_refix_s
-    t_s = (a_t - method.accuracy_m) / v_e
-    return v_e, method, t_s, t_s * cfg.beta
-
+        return v_e, most_accurate_method(cfg.methods), cfg.t_min_refix_s
+    return v_e, method, (a_t - method.accuracy_m) / v_e * cfg.beta

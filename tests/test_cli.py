@@ -153,6 +153,31 @@ class TestSimulate:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        ("config", "message"),
+        [
+            # 1e308 mJ over 0.5 m of room: the cost rate overflows to inf.
+            ("methods = gps:10:1e308\nschedule = 0:10.5\n", "method gps: its cost rate"),
+            # No time to simulate, but the room's seconds underflow at 2 * v_max.
+            (
+                "methods = a:5e-324:1\nschedule = 0:1e-323\nv0 = 2\nduration_s = 0\n",
+                "method a: the budget",
+            ),
+        ],
+        ids=["overflow", "underflow"],
+    )
+    def test_cost_rate_out_of_range_exits_2_naming_the_method(self, tmp_path, config, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        proc = subprocess.run(
+            [sys.executable, "-m", "locsim", "simulate", "--config", str(cfg)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_huge_duration_exits_2_without_traceback(self):
         # A trace of 10^11 s would need over 100 GiB.
         pytest.importorskip("resource")
@@ -282,6 +307,22 @@ class TestSweepCommand:
     def test_out_flag_required(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--seeds", "1")
         assert code == 2
+
+    def test_oversized_grid_exits_2_without_traceback(self, tmp_path):
+        # 2 * 10^9 runs; before the grid was bounded this ran until killed.
+        pytest.importorskip("resource")
+        out = tmp_path / "grid.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "locsim", "sweep", "--alphas", "0.01:1:0.01",
+             "--betas", "0.01:1:0.01", "--seeds", "1..100000", "--kinds", "adaptive,fixed:gps",
+             "--duration", "10", "--out", str(out)],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space,
+        )
+        assert proc.returncode == 2
+        assert "2000000000 runs allow more than 1e+08" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag", ["--betas", "--alphas"])
     @pytest.mark.parametrize("text", ["0.1:nan:0.1", "0.1:inf:0.1", "0.1:1:nan", "0:1e300:1e-300"])

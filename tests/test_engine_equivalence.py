@@ -6,7 +6,9 @@ was fused into one scalar loop. It is imported read-only (no bytecode is
 written next to it) and every result is compared with exact ``==``:
 energy, satisfaction, fix and sample counts, and on drawn configs the
 full event log and the event CSV bytes; traces are compared byte for byte.
-The drawn configs also check that no run exceeds its ``event_bounds``.
+The drawn configs also check that no run exceeds its ``event_bounds``,
+and that a config is refused exactly when a cost rate it could meet
+overflows, where refsim would report an infinite energy.
 """
 
 import math
@@ -18,9 +20,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import locsim.simulator as simulator
 from locsim.config import DEFAULTS, build_simulation_config
+from locsim.errors import ConfigError
 from locsim.mobility import MobilityParams, generate_trace
 from locsim.simulator import event_bounds, events_to_csv, run, sweep
+from locsim.strategy import cost_rate
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -93,15 +98,47 @@ def test_paper_ensemble_cells_match_reference(refsim):
         },
     ],
 )
-def test_overflowing_cost_rates_match_reference(refsim, values):
-    # gps beats the requirement but its cost rate overflows to inf, so no
-    # method is selected: gps is used with t_s = t_min_refix_s, and its
-    # positive room is sampled rather than re-fixed periodically.
+def test_overflowing_cost_rates_match_reference(refsim, monkeypatch, values):
+    # gps beats the requirement but its cost rate overflows to inf. refsim
+    # then samples gps's positive room on the re-fix grid and reports an
+    # infinite energy; locsim refuses the config before any trace.
     ours, ref = both_configs(refsim, values)
-    got, want = run(ours), refsim.simulator.run(ref)
-    assert outcome(got) == outcome(want)
-    assert event_tuples(got) == event_tuples(want)
-    assert got.sample_count > 0
+    want = refsim.simulator.run(ref)
+    assert want.total_energy_mJ == math.inf and want.sample_count > 0
+    assert refused(ours)
+
+    def no_trace(params):
+        raise AssertionError("a trace was generated")
+
+    monkeypatch.setattr(simulator, "generate_trace", no_trace)
+    with pytest.raises(ConfigError, match="method gps: .* requirement 10.5 m overflows"):
+        run(ours)
+
+
+def refused(config):
+    """The refusal rule, re-derived: a method the run uses beats a
+    requirement in force before the horizon and its cost rate there is inf
+    at v_e = 2 * v_max, above any EWMA the run can reach."""
+    pinned = config.pinned_method()
+    methods = config.strategy_cfg.methods if pinned is None else (pinned,)
+    v_hi = 2 * config.mobility.v_max
+    return any(
+        cost_rate(m, a_t, v_hi) == math.inf
+        for i, (start, a_t) in enumerate(config.schedule.entries)
+        if i == 0 or start < config.mobility.duration_s
+        for m in methods
+        if m.accuracy_m < a_t
+    )
+
+
+def run_unless_refused(config, **kwargs):
+    """``run(config)``, or None after checking that a config :func:`refused`
+    flags raises :class:`ConfigError`."""
+    if refused(config):
+        with pytest.raises(ConfigError, match="overflows"):
+            run(config, **kwargs)
+        return None
+    return run(config, **kwargs)
 
 
 # Accuracies sit on half-metres and requirements on whole metres, so every
@@ -149,9 +186,10 @@ def test_drawn_configs_match_reference_event_for_event(refsim, values, data):
     base = {**values, "schedule": schedule_text([(0.0, first)])}
     ours, ref = both_configs(refsim, base)
     probe = refsim.simulator.run(ref)
-    got = run(ours)
-    assert outcome(got) == outcome(probe)
-    assert event_tuples(got) == event_tuples(probe)
+    got = run_unless_refused(ours)
+    if got is not None:
+        assert outcome(got) == outcome(probe)
+        assert event_tuples(got) == event_tuples(probe)
 
     # Requirement changes off the sampling grid, exactly at event times of
     # the run without them, and past the horizon.
@@ -164,10 +202,11 @@ def test_drawn_configs_match_reference_event_for_event(refsim, values, data):
     reqs = data.draw(st.lists(st.integers(1, 600), min_size=len(changes), max_size=len(changes)))
     entries = [(0.0, first)] + [(t, float(r)) for t, r in zip(changes, reqs)]
     ours, ref = both_configs(refsim, {**values, "schedule": schedule_text(entries)})
-    got, want = run(ours), refsim.simulator.run(ref)
-    assert outcome(got) == outcome(want)
-    assert event_tuples(got) == event_tuples(want)
-    assert outcome(run(ours, record_events=False)) == outcome(want)
+    got, want = run_unless_refused(ours), refsim.simulator.run(ref)
+    if got is not None:
+        assert outcome(got) == outcome(want)
+        assert event_tuples(got) == event_tuples(want)
+        assert outcome(run(ours, record_events=False)) == outcome(want)
 
 
 @st.composite
@@ -194,19 +233,59 @@ def drawn_run_values(draw):
 )
 def test_event_csv_bytes_match_reference(refsim, values):
     ours, ref = both_configs(refsim, values)
-    got = events_to_csv(run(ours).log)
-    want = refsim.simulator.events_to_csv(refsim.simulator.run(ref).events)
-    assert got == want
+    got = run_unless_refused(ours)
+    if got is not None:
+        want = refsim.simulator.events_to_csv(refsim.simulator.run(ref).events)
+        assert events_to_csv(got.log) == want
 
 
 @settings(max_examples=150)
 @given(values=drawn_run_values())
 def test_counts_stay_within_event_bounds(values):
     config = build_simulation_config(dict(DEFAULTS, **values))
-    fixes, samples = event_bounds(config)
-    result = run(config, record_events=False)
-    assert result.fix_count <= fixes
-    assert result.sample_count <= samples
+    result = run_unless_refused(config, record_events=False)
+    if result is not None:
+        fixes, samples = event_bounds(config)
+        assert result.fix_count <= fixes
+        assert result.sample_count <= samples
+
+
+@st.composite
+def subnormal_room_values(draw):
+    """:func:`drawn_values` with one method whose room is a few subnormal
+    metres, over a horizon of 0 or 1 s: its seconds of room or its cost
+    rate may leave the float range at some v_e and not at others."""
+    values = draw(drawn_values())
+    accuracy = draw(st.integers(1, 4)) * 5e-324
+    requirement = accuracy + draw(st.integers(1, 4)) * 5e-324
+    energy = draw(st.sampled_from([1e-300, 1e-20, 1.0]))
+    return {
+        **values,
+        "duration_s": draw(st.sampled_from([0, 1])),
+        "strategy": "adaptive",
+        "methods": f"a:{accuracy!r}:{energy!r}",
+        "schedule": f"0:{requirement!r}",
+    }
+
+
+@settings(max_examples=150)
+@given(values=drawn_run_values() | subnormal_room_values())
+def test_config_errors_come_before_any_trace(values):
+    config = build_simulation_config(dict(DEFAULTS, **values))
+    traces = []
+
+    def spy(params):
+        traces.append(params)
+        return generate_trace(params)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "generate_trace", spy)
+        try:
+            run(config, record_events=False)
+        except ConfigError:
+            assert traces == []
+        else:
+            assert len(traces) == 1
 
 
 @st.composite

@@ -264,14 +264,26 @@ class TestEventLog:
         assert [row[4] for row in log] == positions_at(trace, times).tolist()
 
 
+def no_trace(params):
+    raise AssertionError("a trace was generated")
+
+
 class TestEventBounds:
     def test_refused_before_any_trace_is_generated(self, monkeypatch):
-        def no_trace(params):
-            raise AssertionError("a trace was generated")
-
         monkeypatch.setattr(simulator, "generate_trace", no_trace)
         cfg = build_simulation_config({**DEFAULTS, "beta": 1e-9})
         with pytest.raises(ConfigError, match="more than 1e\\+08"):
+            run(cfg)
+
+    def test_underflowing_room_is_refused_before_any_trace(self, monkeypatch):
+        # The room 5e-324 m lasts 0 s at v_e = 2 * v_max; with no time to
+        # simulate, only the per-fix cost rate used to find that out.
+        monkeypatch.setattr(simulator, "generate_trace", no_trace)
+        cfg = build_simulation_config(
+            {**DEFAULTS, "duration_s": 0, "v0": 2.0, "methods": "a:5e-324:1",
+             "schedule": "0:1e-323"}
+        )
+        with pytest.raises(ConfigError, match="method a: .*underflow"):
             run(cfg)
 
     def test_paper_runs_are_far_below_the_limit(self):
@@ -435,6 +447,12 @@ class TestSweep:
     def test_invalid_cell_reports_coordinates(self):
         with pytest.raises(ConfigError, match=r"kind=fixed:nope .*seed=2"):
             sweep(self.base(), [0.5], [1.0], [2], ["fixed:nope"])
+
+    def test_oversized_grid_is_refused_before_any_trace(self, monkeypatch):
+        monkeypatch.setattr(simulator, "generate_trace", no_trace)
+        cells = [round(0.01 * i, 10) for i in range(1, 101)]
+        with pytest.raises(ConfigError, match="20000000 runs allow more than 1e\\+08"):
+            sweep(self.base(), cells, cells, range(1, 1001), ["adaptive", "fixed:gps"])
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ConfigError):

@@ -21,7 +21,6 @@ from locsim.simulator import (
     EVENT_SAMPLE,
     EVENT_SCHEDULE_CHANGE,
     SimulationConfig,
-    on_requirement_change,
     parse_schedule,
     run,
 )
@@ -77,13 +76,17 @@ class TestMethodParsing:
         ]
 
     def test_rejects_malformed_entries(self):
-        for bad in ("gps:10", "gps:10:1425:9", "gps:x:1", "", ";;"):
+        for bad in ("gps:10", "gps:10:1425:9", "gps:x:1"):
             with pytest.raises(ConfigError):
                 parse_methods(bad)
+        # StrategyConfig refuses an empty set.
+        for empty in ("", ";;"):
+            with pytest.raises(ConfigError, match="method set is empty"):
+                StrategyConfig(alpha=0.5, beta=1.0, methods=parse_methods(empty))
 
     def test_rejects_duplicates_and_nonpositive(self):
-        with pytest.raises(ConfigError):
-            parse_methods("a:1:1;a:2:2")
+        with pytest.raises(ConfigError, match="duplicate method name 'a'"):
+            StrategyConfig(alpha=0.5, beta=1.0, methods=parse_methods("a:1:1;a:2:2"))
         with pytest.raises(ConfigError):
             parse_methods("a:0:1")
         with pytest.raises(ConfigError):
@@ -162,10 +165,6 @@ class TestSelectMethod:
     def test_none_when_nothing_eligible(self):
         assert select_method(DEFAULT_METHODS, 10.0, 5.0) is None
         assert select_method(DEFAULT_METHODS, 5.0, 5.0) is None
-
-    def test_empty_set_raises(self):
-        with pytest.raises(ConfigError):
-            select_method((), 100.0, 5.0)
 
     def test_tie_breaks_on_accuracy_then_name(self):
         # Equal cost rates: energy proportional to budget.
@@ -309,15 +308,11 @@ class TestBeginEpoch:
 
     def test_overflowing_cost_rates_fall_back_to_refix_interval(self):
         # gps beats 10.5 m, but 1e308 mJ over 0.5 m of room overflows to inf.
+        # A run's preflight refuses this; called directly, the step falls back.
         gps = Method("gps", 10.0, 1e308)
         cfg = StrategyConfig(alpha=0.5, beta=0.3, methods=(gps,), t_min_refix_s=2.0)
         assert plan_method(cfg.methods, 10.5, 20.0) is None
-        assert begin_epoch(cfg, 10.5, 5.0, None, None) == (5.0, gps, 2.0, 2.0)
-
-    def test_nonpositive_requirement_raises(self):
-        for a_t in (0.0, -3.0):
-            with pytest.raises(ConfigError):
-                begin_epoch(StrategyConfig(alpha=0.5, beta=1.0), a_t, 5.0, 5.0, None)
+        assert begin_epoch(cfg, 10.5, 5.0, None, None) == (5.0, gps, 2.0)
 
 
 class TestOnVelocitySample:
@@ -397,9 +392,3 @@ class TestOnRequirementChange:
         # room at 5 m/s) samples first at 30 + 30 s.
         result = run(make_constant_config(v=5.0, duration=100, requirement="0:500,30:300"))
         assert [e.time_s for e in samples(result)] == [60.0, 90.0]
-
-    def test_rejects_nonpositive_requirement(self):
-        entries = ((0.0, 500.0), (10.0, -3.0))
-        assert on_requirement_change(entries, 0) == (500.0, 10.0)
-        with pytest.raises(ConfigError):
-            on_requirement_change(entries, 1)
