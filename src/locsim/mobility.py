@@ -66,6 +66,10 @@ class MobilityParams:
             raise ConfigError(f"duration_s must be at most {MAX_DURATION_S}, got {self.duration_s!r}")
         if not isinstance(self.t1_s, int) or self.t1_s < 1:
             raise ConfigError(f"t1_s must be a positive integer, got {self.t1_s!r}")
+        # A period of MAX_DURATION_S already holds the velocity constant over
+        # the longest horizon, so no longer one changes a trace.
+        if self.t1_s > MAX_DURATION_S:
+            raise ConfigError(f"t1_s must be at most {MAX_DURATION_S}, got {self.t1_s!r}")
         for name in ("v_min", "v_max", "v0"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")

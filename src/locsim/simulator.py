@@ -17,6 +17,7 @@ piece; no time discretization is involved.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import product
@@ -52,6 +53,7 @@ __all__ = [
     "EVENT_SCHEDULE_CHANGE",
     "RunResult",
     "MAX_EVENTS",
+    "RUN_EVENTS_FLOOR",
     "event_bounds",
     "run",
     "SweepMean",
@@ -310,6 +312,14 @@ def _allowed_events(config: SimulationConfig) -> float:
     return most
 
 
+def _loop_strategy(config: SimulationConfig) -> StrategyConfig:
+    """``config``'s strategy knobs with the methods its kind uses: all of
+    them for "adaptive", the pinned one alone for "fixed:<name>"."""
+    cfg = config.strategy_cfg
+    pinned = config.pinned_method()
+    return cfg if pinned is None else replace(cfg, methods=(pinned,))
+
+
 def run(
     config: SimulationConfig,
     *,
@@ -319,11 +329,53 @@ def run(
     """Simulate one full run; pure function of ``config``.
 
     ``trace`` may supply a pre-generated trace for the same mobility
-    parameters (useful when sweeping strategy knobs over a shared seed).
-    With ``record_events=False`` the event log is left empty; every metric
-    is unchanged. Every :class:`ConfigError` is raised before any trace is
-    generated: by the config types, or by the preflight, which refuses what
-    :func:`event_bounds` refuses and bounds adding up to over :data:`MAX_EVENTS`.
+    parameters. With ``record_events=False`` the event log is left empty;
+    every metric is unchanged. Every :class:`ConfigError` is raised before
+    any trace is generated: by the config types, or by the preflight, which
+    refuses what :func:`event_bounds` refuses and bounds adding up to over
+    :data:`MAX_EVENTS`.
+
+    A run is that preflight, then the trace, then :func:`_event_loop`, then
+    :func:`_satisfaction_exact` over the loop's fixes. :func:`sweep` runs
+    the same loop for every cell and evaluates all the runs of a trace at once.
+    """
+    _allowed_events(config)
+    if trace is None:
+        trace = generate_trace(config.mobility)
+    elif trace.params != config.mobility:
+        raise ConfigError("supplied trace was generated from different mobility parameters")
+    cfg = _loop_strategy(config)
+    energy, samples, fix_times, fix_rooms, log = _event_loop(
+        cfg, config.schedule.entries, trace, record_events
+    )
+    (satisfaction,) = _satisfaction_exact(
+        np.array(fix_times, dtype=float), np.array(fix_rooms, dtype=float), [len(fix_times)], trace
+    )
+    return RunResult(
+        config.strategy_kind,
+        cfg.alpha,
+        cfg.beta,
+        config.mobility.seed,
+        energy,
+        satisfaction,
+        len(fix_times),
+        samples,
+        tuple(log),
+    )
+
+
+def _event_loop(
+    cfg: StrategyConfig,
+    entries: tuple[tuple[float, float], ...],
+    trace: MotionTrace,
+    record_events: bool,
+) -> tuple[float, int, list[float], list[float], list[tuple]]:
+    """Schedule fixes and samples over ``trace`` under the schedule ``entries``.
+
+    ``cfg`` holds the methods the run may use (one, for a pinned kind).
+    Returns (energy, samples, fix_times, fix_rooms, log): the total fix
+    energy, the sample count, each fix's time and room, and the event log,
+    empty unless ``record_events``. The caller has run the preflight.
 
     The scheduler is one loop over Python floats, one epoch per outer
     iteration. Each fix opens an epoch with
@@ -347,25 +399,14 @@ def run(
     :func:`~locsim.mobility.positions_at`. :attr:`RunResult.events` builds
     the :class:`Event` records from that log only when it is read.
     """
-    _allowed_events(config)
-    if trace is None:
-        trace = generate_trace(config.mobility)
-    elif trace.params != config.mobility:
-        raise ConfigError("supplied trace was generated from different mobility parameters")
-
-    cfg = config.strategy_cfg
-    pinned = config.pinned_method()
-    if pinned is not None:
-        cfg = replace(cfg, methods=(pinned,))
-    entries = config.schedule.entries
-    duration = float(config.mobility.duration_s)
+    duration = float(trace.params.duration_s)
     vel = trace.velocity_list  # every event index int(t) is < duration, so in range
     cum = trace.cumulative_m.tolist() if record_events else None
     alpha = cfg.alpha
     near = 1.0 - BUDGET_REL_TOL
     # The EWMA of velocities in [v_min, v_max] stays there up to rounding,
     # so twice v_max bounds it with room to spare.
-    v_hi = 2.0 * config.mobility.v_max
+    v_hi = 2.0 * trace.params.v_max
 
     log: list[tuple] = []
     fix_times: list[float] = []
@@ -445,44 +486,45 @@ def run(
         else:
             break
 
-    satisfaction = _satisfaction_exact(
-        np.array(fix_times, dtype=float), np.array(fix_rooms, dtype=float), trace
-    )
-    return RunResult(
-        config.strategy_kind,
-        alpha,
-        cfg.beta,
-        config.mobility.seed,
-        energy,
-        satisfaction,
-        len(fix_times),
-        samples,
-        tuple(log),
-    )
+    return energy, samples, fix_times, fix_rooms, log
 
 
 def _satisfaction_exact(
-    span_start: np.ndarray, span_room: np.ndarray, trace: MotionTrace
-) -> float:
-    """Fraction of [0, duration] where uncertainty stays within the requirement.
+    span_start: np.ndarray, span_room: np.ndarray, lengths: Sequence[int], trace: MotionTrace
+) -> list[float]:
+    """Each run's fraction of [0, duration] where uncertainty stays within the requirement.
 
-    Span i opens with a fix at ``span_start[i]`` (the first at t=0) and runs
-    to the next span's start, the last one to the horizon. Its room is the
-    requirement in force minus the fix's method accuracy. Time counts as
-    satisfied while the distance moved since the fix is at most the room,
-    equality included.
+    The runs share ``trace``. Their spans come concatenated, run after run,
+    and ``lengths`` holds each run's span count. Span i opens with a fix at
+    ``span_start[i]`` (a run's first at t=0) and runs to the next span's
+    start within its run, a run's last one to the horizon. Its room
+    ``span_room[i]`` is the requirement in force minus the fix's method
+    accuracy. Time counts as satisfied while the distance moved since the
+    fix is at most the room, equality included.
+
+    The crossings of all the runs are solved in one pass of element-wise
+    steps. Each run's violated time is then ``np.sum`` over its own
+    contiguous slice of ``span_end - crossings``, which adds the same values
+    in the same order as a sum over that run alone, so every satisfaction
+    is bit for bit the one of the run evaluated by itself.
     """
     duration = float(trace.params.duration_s)
     if duration <= 0:
-        return 1.0
-    span_end = np.append(span_start[1:], duration)
+        return [1.0] * len(lengths)
+    ends = np.cumsum(lengths)
+    span_end = np.empty_like(span_start)
+    span_end[:-1] = span_start[1:]
+    span_end[ends - 1] = duration
     crossings = times_at_positions(trace, positions_at(trace, span_start) + span_room)
     crossings = np.where(span_room < 0, span_start, crossings)
-    crossings = np.clip(crossings, span_start, span_end)
-    violated = float(np.sum(span_end - crossings))
-    if violated <= 0.0:
-        return 1.0
-    return (duration - violated) / duration
+    gaps = span_end - np.clip(crossings, span_start, span_end)
+    satisfaction: list[float] = []
+    lo = 0
+    for hi in ends.tolist():
+        violated = float(np.sum(gaps[lo:hi]))
+        satisfaction.append(1.0 if violated <= 0.0 else (duration - violated) / duration)
+        lo = hi
+    return satisfaction
 
 
 @dataclass(frozen=True)
@@ -496,6 +538,14 @@ class SweepMean:
     sample_count: float
 
 
+# What :func:`sweep` charges each run against :data:`MAX_EVENTS`, at least.
+# Beyond its events a run costs its loop set-up and evaluation, and its
+# summary row stays in memory until the grid is done. Charging it 1,000
+# events caps a grid at MAX_EVENTS / RUN_EVENTS_FLOOR = 100,000 runs,
+# however short they are (the paper's grid has 1,200).
+RUN_EVENTS_FLOOR = 1_000
+
+
 def sweep(
     base: SimulationConfig,
     alphas: Sequence[float],
@@ -503,42 +553,67 @@ def sweep(
     seeds: Sequence[int],
     kinds: Sequence[str],
 ) -> list[RunResult]:
-    """Run the grid in deterministic (kind, alpha, beta, seed) order.
+    """Run the grid; rows come in deterministic (kind, alpha, beta, seed) order.
 
-    Before any trace, each (kind, alpha, beta) cell config is built once. A
-    refused cell is named with the first seed, as bounds do not depend on
-    seeds; a grid whose runs allow over :data:`MAX_EVENTS` events in all is
-    refused too. Then each seed's trace is generated once, shared by the cells.
+    Before any trace, each (kind, alpha, beta) cell config is built once and
+    bounded. A refused cell is named with the first seed, as bounds do not
+    depend on seeds. The grid is refused too when its runs allow over
+    :data:`MAX_EVENTS` events in all, each run charged at least
+    :data:`RUN_EVENTS_FLOOR`.
+
+    Then, for each distinct seed, its trace is generated once,
+    :func:`_event_loop` runs every cell over it and one
+    :func:`_satisfaction_exact` call evaluates all those runs. Each row is
+    what :func:`run` returns for its cell and seed without an event log; a
+    seed listed twice gives its rows twice.
     """
     if not alphas or not betas or not seeds or not kinds:
         raise ConfigError("sweep needs at least one alpha, beta, seed and kind")
-    cells: list[SimulationConfig] = []
+    cells: list[tuple[str, StrategyConfig]] = []
     most = 0.0
     for kind, alpha, beta in product(kinds, alphas, betas):
         try:
             strategy_cfg = replace(base.strategy_cfg, alpha=alpha, beta=beta)
             cfg = replace(base, strategy_cfg=strategy_cfg, strategy_kind=kind)
-            most += _allowed_events(cfg) * len(seeds)
+            most += max(_allowed_events(cfg), RUN_EVENTS_FLOOR) * len(seeds)
         except ConfigError as exc:
             raise ConfigError(
                 f"sweep cell kind={kind} alpha={alpha} beta={beta} seed={seeds[0]}: {exc}"
             ) from exc
-        # A run allows at least two events, so a grid of any size is
-        # refused after at most MAX_EVENTS / 2 cells.
+        # Each run is charged at least RUN_EVENTS_FLOOR, so a grid of any
+        # size is refused after at most MAX_EVENTS / RUN_EVENTS_FLOOR cells.
         if most > MAX_EVENTS:
             raise ConfigError(
                 f"the sweep's {len(kinds) * len(alphas) * len(betas) * len(seeds)} runs allow "
-                f"more than {MAX_EVENTS:.0e} fixes and samples; shrink the grid or the duration"
+                f"more than {MAX_EVENTS:.0e} fixes and samples, each run counted as at least "
+                f"{RUN_EVENTS_FLOOR}; shrink the grid or the duration"
             )
-        cells.append(cfg)
-    mobility = [replace(base.mobility, seed=seed) for seed in dict.fromkeys(seeds)]
-    traces = {params.seed: generate_trace(params) for params in mobility}
-    rows: list[RunResult] = []
-    for cfg in cells:
-        for seed in seeds:
-            trace = traces[seed]
-            rows.append(run(replace(cfg, mobility=trace.params), trace=trace, record_events=False))
-    return rows
+        cells.append((kind, _loop_strategy(cfg)))
+    entries = base.schedule.entries
+    by_seed: dict[int, list[RunResult]] = {}
+    for seed in dict.fromkeys(seeds):
+        trace = generate_trace(replace(base.mobility, seed=seed))
+        # The fixes of all the seed's runs, kept as doubles: as lists of
+        # Python floats they would take about four times the memory.
+        starts, rooms = array("d"), array("d")
+        lengths: list[int] = []
+        totals: list[tuple[float, int]] = []
+        for _, cfg in cells:
+            energy, samples, fix_times, fix_rooms, _ = _event_loop(cfg, entries, trace, False)
+            starts.fromlist(fix_times)
+            rooms.fromlist(fix_rooms)
+            lengths.append(len(fix_times))
+            totals.append((energy, samples))
+        satisfaction = _satisfaction_exact(
+            np.frombuffer(starts), np.frombuffer(rooms), lengths, trace
+        )
+        by_seed[seed] = [
+            RunResult(kind, cfg.alpha, cfg.beta, seed, energy, sat, fixes, samples)
+            for (kind, cfg), (energy, samples), sat, fixes in zip(
+                cells, totals, satisfaction, lengths
+            )
+        ]
+    return [by_seed[seed][i] for i in range(len(cells)) for seed in seeds]
 
 
 def sweep_means(rows: Sequence[RunResult]) -> list[SweepMean]:
@@ -577,18 +652,17 @@ def figure_series(
 
     fig2/fig3 compare mean energy / mean satisfaction of fixed:gps against
     the adaptive strategy at alpha=0.5; fig4/fig5 repeat this at alpha=0.3.
-    Rows are (beta, gps_value, ours_value).
+    Rows are (beta, gps_value, ours_value). One :func:`sweep` over both
+    alphas runs them all, so each seed's trace is generated once.
     """
+    alphas = {0.5: ("fig2", "fig3"), 0.3: ("fig4", "fig5")}
+    rows = sweep(base, list(alphas), betas, seeds, ["fixed:gps", "adaptive"])
+    means = {(m.kind, m.alpha, m.beta): m for m in sweep_means(rows)}
     tables: dict[str, list[tuple[float, float, float]]] = {}
-    for alpha, (energy_key, sat_key) in ((0.5, ("fig2", "fig3")), (0.3, ("fig4", "fig5"))):
-        rows = sweep(base, [alpha], betas, seeds, ["fixed:gps", "adaptive"])
-        means = sweep_means(rows)
-        gps = {m.beta: m for m in means if m.kind == "fixed:gps"}
-        ours = {m.beta: m for m in means if m.kind == "adaptive"}
-        tables[energy_key] = [
-            (b, gps[b].total_energy_mJ, ours[b].total_energy_mJ) for b in betas
-        ]
-        tables[sat_key] = [(b, gps[b].satisfaction, ours[b].satisfaction) for b in betas]
+    for alpha, (energy_key, sat_key) in alphas.items():
+        pairs = [(b, means["fixed:gps", alpha, b], means["adaptive", alpha, b]) for b in betas]
+        tables[energy_key] = [(b, g.total_energy_mJ, o.total_energy_mJ) for b, g, o in pairs]
+        tables[sat_key] = [(b, g.satisfaction, o.satisfaction) for b, g, o in pairs]
     return tables
 
 

@@ -10,10 +10,12 @@ An epoch starts at a fix and ends at the next one. The epoch sampling
 interval ``t_s`` is frozen when the epoch begins; velocity is re-sampled
 every ``t_s * beta`` seconds and each sample advances the distance
 estimate by ``v_e * t_s * beta``. The event loop that does this is
-:func:`locsim.simulator.run`; this module holds what it is configured with
-and the steps it calls: :func:`plan_method` when a requirement comes into
-force, :func:`begin_epoch` once per fix and :func:`on_velocity_sample`, the
-one EWMA, once per sample. The loop advances the distance estimate itself.
+``locsim.simulator._event_loop``, which :func:`locsim.simulator.run` and
+:func:`locsim.simulator.sweep` call. This module holds what it is
+configured with and the steps it calls: :func:`plan_method` when a
+requirement comes into force, :func:`begin_epoch` once per fix and
+:func:`on_velocity_sample`, the one EWMA, once per sample. The loop
+advances the distance estimate itself.
 """
 
 from __future__ import annotations

@@ -190,6 +190,19 @@ class TestSimulate:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    def test_oversized_t1_exits_2_without_traceback(self, tmp_path):
+        # 2**63 used to overflow numpy's int64 in the trace's period check.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t1_s = 9223372036854775808\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "locsim", "simulate", "--config", str(cfg)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert f"error: t1_s must be at most {MAX_DURATION_S}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize(
         ("flags", "config", "message"),
         [
@@ -322,6 +335,22 @@ class TestSweepCommand:
         assert "2000000000 runs allow more than 1e+08" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_grid_of_empty_runs_exits_2_without_traceback(self, tmp_path):
+        # 5 * 10^7 runs of 0 s, each allowed 2 events: about 25 minutes of
+        # runs and rows held in memory before each run was charged a floor.
+        pytest.importorskip("resource")
+        out = tmp_path / "grid.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "locsim", "sweep", "--alphas", "0.01:1:0.01",
+             "--betas", "0.01:1:0.01", "--seeds", "1..2500", "--kinds", "adaptive,fixed:gps",
+             "--duration", "0", "--out", str(out)],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space,
+        )
+        assert proc.returncode == 2
+        assert "50000000 runs allow more than 1e+08" in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag", ["--betas", "--alphas"])

@@ -35,6 +35,8 @@ class TestMobilityParams:
             dict(duration_s=-1),
             dict(duration_s=MAX_DURATION_S + 1),
             dict(t1_s=0),
+            dict(t1_s=MAX_DURATION_S + 1),
+            dict(t1_s=2**63),
             dict(v_min=0.5),
             dict(v_max=0.5),
             dict(v0=0.0),
@@ -44,6 +46,10 @@ class TestMobilityParams:
         ):
             with pytest.raises(ConfigError):
                 MobilityParams(**{**good, **bad})
+
+    def test_longest_period_holds_velocity_constant(self):
+        params = MobilityParams(duration_s=50, t1_s=MAX_DURATION_S, v0=4.0)
+        assert np.all(generate_trace(params).velocities == 4.0)
 
     def test_zero_duration_is_allowed(self):
         params = MobilityParams(duration_s=0, t1_s=1, v0=2.0)

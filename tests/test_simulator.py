@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from locsim.config import DEFAULT_SCHEDULE_TEXT, DEFAULTS, build_simulation_conf
 from locsim.errors import ConfigError
 from locsim.mobility import MobilityParams, MotionTrace, generate_trace, positions_at
 from locsim.simulator import (
+    DEFAULT_FIGURE_BETAS,
     EVENT_FIX,
     EVENT_SAMPLE,
     EVENT_SCHEDULE_CHANGE,
@@ -360,9 +362,9 @@ class TestSatisfaction:
             velocities=np.full(30, 2.0),
         )
         room = np.array([100.0 - WIFI.accuracy_m])
-        assert _satisfaction_exact(np.array([0.0]), room, trace) == pytest.approx(
-            25.0 / 30.0, abs=1e-12
-        )
+        assert _satisfaction_exact(np.array([0.0]), room, [1], trace) == [
+            pytest.approx(25.0 / 30.0, abs=1e-12)
+        ]
 
     def test_boundary_equality_counts_as_satisfied(self, make_constant_config):
         # Every epoch re-fixes exactly when moved distance equals the budget.
@@ -376,7 +378,7 @@ class TestSatisfaction:
         # Fallback fixes every second with gps (accuracy 10) under requirement 5.
         fix_times = np.arange(10, dtype=float)
         room = np.full(10, 5.0 - GPS.accuracy_m)
-        assert _satisfaction_exact(fix_times, room, trace) == 0.0
+        assert _satisfaction_exact(fix_times, room, [10], trace) == [0.0]
 
     def test_matches_grid_oracle_on_random_runs(self):
         rng = random.Random(99)
@@ -453,6 +455,22 @@ class TestSweep:
         cells = [round(0.01 * i, 10) for i in range(1, 101)]
         with pytest.raises(ConfigError, match="20000000 runs allow more than 1e\\+08"):
             sweep(self.base(), cells, cells, range(1, 1001), ["adaptive", "fixed:gps"])
+
+    def test_empty_runs_are_charged_a_floor(self, monkeypatch):
+        # Each 0 s run is allowed 2 events, so 5 * 10^7 of them would fit
+        # under MAX_EVENTS and take about 25 minutes.
+        monkeypatch.setattr(simulator, "generate_trace", no_trace)
+        base = self.base()
+        base = replace(base, mobility=replace(base.mobility, duration_s=0))
+        cells = [round(0.01 * i, 10) for i in range(1, 101)]
+        with pytest.raises(ConfigError, match="50000000 runs allow more than 1e\\+08"):
+            sweep(base, cells, cells, range(1, 2501), ["adaptive", "fixed:gps"])
+
+    def test_paper_grid_passes_the_preflight(self, monkeypatch):
+        monkeypatch.setattr(simulator, "generate_trace", no_trace)
+        base = build_simulation_config(DEFAULTS)
+        with pytest.raises(AssertionError, match="a trace was generated"):
+            sweep(base, [0.3, 0.5], DEFAULT_FIGURE_BETAS, range(1, 31), ["adaptive", "fixed:gps"])
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ConfigError):
