@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -47,12 +47,12 @@ __all__ = [
     "AccuracySchedule",
     "parse_schedule",
     "SimulationConfig",
-    "Event",
     "EVENT_FIX",
     "EVENT_SAMPLE",
     "EVENT_SCHEDULE_CHANGE",
     "RunResult",
     "MAX_EVENTS",
+    "MAX_LOGGED_EVENTS",
     "RUN_EVENTS_FLOOR",
     "event_bounds",
     "run",
@@ -156,29 +156,16 @@ class SimulationConfig:
         raise ConfigError(f"strategy must be 'adaptive' or 'fixed:<name>', got {kind!r}")
 
 
-class Event(NamedTuple):
-    """One observable simulation event.
-
-    At a shared timestamp the canonical log order is schedule_change, then
-    fix, then sample. ``v_e_mps`` is the estimator state right after the
-    event; method and energy are only set for fixes.
-    """
-
-    time_s: float
-    kind: str
-    method: Optional[Method]
-    energy_mJ: Optional[float]
-    position_m: float
-    velocity_mps: float
-    v_e_mps: float
-
-
 @dataclass(frozen=True)
 class RunResult:
     """One run's summary-CSV row, its coordinates taken from its config, then its event log.
 
-    ``log`` holds one plain tuple per event, in :class:`Event` field order;
-    :attr:`events` builds the :class:`Event` records from it on first access.
+    ``log`` holds one plain tuple per event: (time_s, kind, method,
+    energy_mJ, position_m, velocity_mps, v_e_mps). There ``kind`` is one of
+    the ``EVENT_*`` names, and at a shared timestamp the order is
+    schedule_change, then fix, then sample. ``method`` and ``energy_mJ`` are
+    set for fixes and None otherwise; ``v_e_mps`` is the velocity estimate
+    right after the event.
     """
 
     kind: str
@@ -190,11 +177,6 @@ class RunResult:
     fix_count: int
     sample_count: int
     log: tuple[tuple, ...] = ()
-
-    @cached_property
-    def events(self) -> tuple[Event, ...]:
-        """``log`` as :class:`Event` records, built once."""
-        return tuple(Event(*row) for row in self.log)
 
 
 def on_requirement_change(
@@ -212,6 +194,9 @@ def on_requirement_change(
 # The paper's runs are allowed about 1.3e4 at beta 0.1; a config allowed
 # more than this would take hours and fill memory with its event log.
 MAX_EVENTS = 10**8
+# The most a run that records its event log may be allowed: a logged event
+# keeps about 200 B, so this caps the log near 2 GB.
+MAX_LOGGED_EVENTS = 10**7
 
 
 def _steps(span: float, step: float, ulp: float) -> float:
@@ -295,9 +280,10 @@ def _event_bounds(
     return fixes, samples
 
 
-def _allowed_events(config: SimulationConfig) -> float:
+def _allowed_events(config: SimulationConfig, record_events: bool = False) -> float:
     """The sum of ``config``'s :func:`event_bounds`; :class:`ConfigError`
-    when it is infinite or above :data:`MAX_EVENTS`."""
+    when it is infinite or above :data:`MAX_EVENTS`, or, for a run that
+    records its event log, above :data:`MAX_LOGGED_EVENTS`."""
     most = sum(event_bounds(config))
     if most > MAX_EVENTS:
         why = (
@@ -308,6 +294,11 @@ def _allowed_events(config: SimulationConfig) -> float:
         )
         raise ConfigError(
             f"{why}; raise beta, t_min_refix_s or the rooms (requirement minus method accuracy)"
+        )
+    if record_events and most > MAX_LOGGED_EVENTS:
+        raise ConfigError(
+            f"the config allows up to {most:.3g} fixes and samples in one run, more than the "
+            f"{MAX_LOGGED_EVENTS:.0e} an event log may hold; drop --out, or raise beta or the rooms"
         )
     return most
 
@@ -333,35 +324,52 @@ def run(
     every metric is unchanged. Every :class:`ConfigError` is raised before
     any trace is generated: by the config types, or by the preflight, which
     refuses what :func:`event_bounds` refuses and bounds adding up to over
-    :data:`MAX_EVENTS`.
-
-    A run is that preflight, then the trace, then :func:`_event_loop`, then
-    :func:`_satisfaction_exact` over the loop's fixes. :func:`sweep` runs
-    the same loop for every cell and evaluates all the runs of a trace at once.
+    :data:`MAX_EVENTS` (:data:`MAX_LOGGED_EVENTS` when the log is recorded).
+    Then a run is the one-cell case of :func:`_runs_on_trace`, the step
+    :func:`sweep` takes for each seed.
     """
-    _allowed_events(config)
+    _allowed_events(config, record_events)
     if trace is None:
         trace = generate_trace(config.mobility)
     elif trace.params != config.mobility:
         raise ConfigError("supplied trace was generated from different mobility parameters")
-    cfg = _loop_strategy(config)
-    energy, samples, fix_times, fix_rooms, log = _event_loop(
-        cfg, config.schedule.entries, trace, record_events
-    )
-    (satisfaction,) = _satisfaction_exact(
-        np.array(fix_times, dtype=float), np.array(fix_rooms, dtype=float), [len(fix_times)], trace
-    )
-    return RunResult(
-        config.strategy_kind,
-        cfg.alpha,
-        cfg.beta,
-        config.mobility.seed,
-        energy,
-        satisfaction,
-        len(fix_times),
-        samples,
-        tuple(log),
-    )
+    cells = [(config.strategy_kind, _loop_strategy(config))]
+    (result,) = _runs_on_trace(cells, config.schedule.entries, trace, record_events)
+    return result
+
+
+def _runs_on_trace(
+    cells: Sequence[tuple[str, StrategyConfig]],
+    entries: tuple[tuple[float, float], ...],
+    trace: MotionTrace,
+    record_events: bool,
+) -> list[RunResult]:
+    """One result row per (kind, loop strategy) cell, all over ``trace``.
+
+    Each cell's strategy holds the methods its kind uses. :func:`_event_loop`
+    runs once per cell and one :func:`_satisfaction_exact` call evaluates
+    all the runs; the rows take their seed from the trace. The caller has
+    run the preflight.
+    """
+    # The fixes of all the runs, kept as doubles: as lists of Python
+    # floats they would take about four times the memory.
+    starts, rooms = array("d"), array("d")
+    lengths: list[int] = []
+    loops: list[tuple[float, int, tuple]] = []
+    for _, cfg in cells:
+        energy, samples, fix_times, fix_rooms, log = _event_loop(cfg, entries, trace, record_events)
+        starts.fromlist(fix_times)
+        rooms.fromlist(fix_rooms)
+        lengths.append(len(fix_times))
+        loops.append((energy, samples, tuple(log)))
+    satisfaction = _satisfaction_exact(np.frombuffer(starts), np.frombuffer(rooms), lengths, trace)
+    seed = trace.params.seed
+    return [
+        RunResult(kind, cfg.alpha, cfg.beta, seed, energy, sat, fixes, samples, log)
+        for (kind, cfg), (energy, samples, log), sat, fixes in zip(
+            cells, loops, satisfaction, lengths
+        )
+    ]
 
 
 def _event_loop(
@@ -393,11 +401,11 @@ def _event_loop(
     change of the requirement :func:`on_requirement_change` moves to the
     next schedule entry, and the method is planned again.
 
-    Each event is logged as a plain tuple in :class:`Event` field order,
+    Each event is logged as a plain tuple in :class:`RunResult` log order,
     its position computed in the loop as ``cum[k] + (t - k) * v`` with
     ``k = int(t)``: the float expression of
-    :func:`~locsim.mobility.positions_at`. :attr:`RunResult.events` builds
-    the :class:`Event` records from that log only when it is read.
+    :func:`~locsim.mobility.positions_at`. :func:`_runs_on_trace` is the
+    loop's one caller.
     """
     duration = float(trace.params.duration_s)
     vel = trace.velocity_list  # every event index int(t) is < duration, so in range
@@ -509,8 +517,6 @@ def _satisfaction_exact(
     is bit for bit the one of the run evaluated by itself.
     """
     duration = float(trace.params.duration_s)
-    if duration <= 0:
-        return [1.0] * len(lengths)
     ends = np.cumsum(lengths)
     span_end = np.empty_like(span_start)
     span_end[:-1] = span_start[1:]
@@ -561,11 +567,11 @@ def sweep(
     :data:`MAX_EVENTS` events in all, each run charged at least
     :data:`RUN_EVENTS_FLOOR`.
 
-    Then, for each distinct seed, its trace is generated once,
-    :func:`_event_loop` runs every cell over it and one
-    :func:`_satisfaction_exact` call evaluates all those runs. Each row is
-    what :func:`run` returns for its cell and seed without an event log; a
-    seed listed twice gives its rows twice.
+    Then, for each distinct seed, its trace is generated once and one
+    :func:`_runs_on_trace` call runs every cell over it, the step that
+    :func:`run` takes for a single cell. So each row is what :func:`run`
+    returns for its cell and seed without an event log; a seed listed twice
+    gives its rows twice.
     """
     if not alphas or not betas or not seeds or not kinds:
         raise ConfigError("sweep needs at least one alpha, beta, seed and kind")
@@ -590,29 +596,12 @@ def sweep(
             )
         cells.append((kind, _loop_strategy(cfg)))
     entries = base.schedule.entries
-    by_seed: dict[int, list[RunResult]] = {}
-    for seed in dict.fromkeys(seeds):
-        trace = generate_trace(replace(base.mobility, seed=seed))
-        # The fixes of all the seed's runs, kept as doubles: as lists of
-        # Python floats they would take about four times the memory.
-        starts, rooms = array("d"), array("d")
-        lengths: list[int] = []
-        totals: list[tuple[float, int]] = []
-        for _, cfg in cells:
-            energy, samples, fix_times, fix_rooms, _ = _event_loop(cfg, entries, trace, False)
-            starts.fromlist(fix_times)
-            rooms.fromlist(fix_rooms)
-            lengths.append(len(fix_times))
-            totals.append((energy, samples))
-        satisfaction = _satisfaction_exact(
-            np.frombuffer(starts), np.frombuffer(rooms), lengths, trace
+    by_seed = {
+        seed: _runs_on_trace(
+            cells, entries, generate_trace(replace(base.mobility, seed=seed)), False
         )
-        by_seed[seed] = [
-            RunResult(kind, cfg.alpha, cfg.beta, seed, energy, sat, fixes, samples)
-            for (kind, cfg), (energy, samples), sat, fixes in zip(
-                cells, totals, satisfaction, lengths
-            )
-        ]
+        for seed in dict.fromkeys(seeds)
+    }
     return [by_seed[seed][i] for i in range(len(cells)) for seed in seeds]
 
 
@@ -706,9 +695,8 @@ _FIX_ROW = "%.6f,%s,%s,%.6f,%.6f,%.6f,%.6f\n"
 
 
 def events_to_csv(rows: Sequence[tuple]) -> str:
-    """The event CSV of ``rows``: 7-tuples in :class:`Event` field order, such
-    as :attr:`RunResult.log` or :attr:`RunResult.events`, formatted with one
-    ``%`` over the whole log."""
+    """The event CSV of ``rows``: 7-tuples in :class:`RunResult` log order,
+    such as :attr:`RunResult.log`, formatted with one ``%`` over the whole log."""
     templates: list[str] = []
     values: list = []
     for t, kind, method, energy_mJ, position, v, v_e in rows:

@@ -10,12 +10,10 @@ An epoch starts at a fix and ends at the next one. The epoch sampling
 interval ``t_s`` is frozen when the epoch begins; velocity is re-sampled
 every ``t_s * beta`` seconds and each sample advances the distance
 estimate by ``v_e * t_s * beta``. The event loop that does this is
-``locsim.simulator._event_loop``, which :func:`locsim.simulator.run` and
-:func:`locsim.simulator.sweep` call. This module holds what it is
-configured with and the steps it calls: :func:`plan_method` when a
-requirement comes into force, :func:`begin_epoch` once per fix and
-:func:`on_velocity_sample`, the one EWMA, once per sample. The loop
-advances the distance estimate itself.
+``locsim.simulator._event_loop``; this module holds what it is configured
+with and the steps it calls: :func:`plan_method` when a requirement comes
+into force, :func:`begin_epoch` once per fix and :func:`on_velocity_sample`,
+the one EWMA, once per sample.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ __all__ = [
     "cost_rate",
     "select_method",
     "plan_method",
-    "most_accurate_method",
     "begin_epoch",
     "on_velocity_sample",
 ]
@@ -209,10 +206,6 @@ def plan_method(methods: Sequence[Method], a_t: float, v_hi: float) -> Optional[
     return best
 
 
-def most_accurate_method(methods: Sequence[Method]) -> Method:
-    return min(methods, key=lambda m: (m.accuracy_m, m.name))
-
-
 def begin_epoch(
     cfg: StrategyConfig, a_t: float, v: float, v_e: Optional[float], plan: Optional[Method]
 ) -> tuple[float, Method, float]:
@@ -224,14 +217,15 @@ def begin_epoch(
     for ``a_t``, or when that is None the :func:`select_method` choice at
     this ``v_e``. Returns (v_e, method, wait): the epoch is sampled every
     wait = (a_t - accuracy_m) / v_e * beta seconds, from the fix on. When
-    :func:`select_method` finds no method, the most accurate one is used
-    and wait = t_min_refix_s. In a run its room a_t - accuracy_m is then
-    <= 0, so it re-fixes after the wait instead of sampling.
+    :func:`select_method` finds no method, the most accurate one (ties
+    broken by name) is used and wait = t_min_refix_s. In a run its room
+    a_t - accuracy_m is then <= 0, so it re-fixes after the wait instead.
     """
     # Called through this module's name, not the one locsim.simulator
     # imports, so calls of that name stay one per sample.
     v_e = v if v_e is None else on_velocity_sample(v_e, v, cfg.alpha)
     method = plan if plan is not None else select_method(cfg.methods, a_t, v_e)
     if method is None:
-        return v_e, most_accurate_method(cfg.methods), cfg.t_min_refix_s
+        method = min(cfg.methods, key=lambda m: (m.accuracy_m, m.name))
+        return v_e, method, cfg.t_min_refix_s
     return v_e, method, (a_t - method.accuracy_m) / v_e * cfg.beta

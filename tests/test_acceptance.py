@@ -26,6 +26,8 @@ from locsim.simulator import (
 )
 from locsim.strategy import DEFAULT_METHODS, StrategyConfig, on_velocity_sample, select_method
 
+from _events import events
+
 # A per-epoch cost estimate with velocity pinned at the mobility midpoint
 # (5.5 m/s) puts the adaptive/gps energy ratio near 0.77: the two tightest
 # requirement spans admit no method cheaper than gps, so the ratio cannot
@@ -222,9 +224,9 @@ def test_07_satisfaction_agrees_with_grid_brute_force():
         t = np.arange(duration * 1000 + 1, dtype=np.float64) / 1000.0
         knots = np.arange(len(trace.velocities) + 1, dtype=float)
         pos = np.interp(t, knots, trace.cumulative_m)
-        fix_t = np.array([e.time_s for e in result.events if e.kind == EVENT_FIX])
+        fix_t = np.array([e.time_s for e in events(result) if e.kind == EVENT_FIX])
         fix_acc = np.array(
-            [e.method.accuracy_m for e in result.events if e.kind == EVENT_FIX]
+            [e.method.accuracy_m for e in events(result) if e.kind == EVENT_FIX]
         )
         fix_pos = np.interp(fix_t, knots, trace.cumulative_m)
         li = np.searchsorted(fix_t, t, side="right") - 1
@@ -287,7 +289,7 @@ def test_10_requirement_changes_force_fixes():
                 duration_s=3600, t1_s=3, v_min=1.0, v_max=10.0, v0=1.0, seed=seed
             )
             cfg = SimulationConfig(params, base.strategy_cfg, base.schedule, kind)
-            fix_times = {e.time_s for e in run(cfg).events if e.kind == EVENT_FIX}
+            fix_times = {e.time_s for e in events(run(cfg)) if e.kind == EVENT_FIX}
             assert expected <= fix_times, f"seed={seed} kind={kind}"
     _pass(10, "fix events at exactly t=600,1200,1800,2400,3000 in all 6 runs")
 
@@ -300,8 +302,8 @@ def test_11_sampling_rate_does_not_change_energy(make_constant_config):
         assert len(energies) == 1, f"v={v}: energies differ {energies}"
         for beta, result in results.items():
             expected = math.ceil(1.0 / beta)
-            fixes = [e.time_s for e in result.events if e.kind == EVENT_FIX]
-            samples = [e.time_s for e in result.events if e.kind == EVENT_SAMPLE]
+            fixes = [e.time_s for e in events(result) if e.kind == EVENT_FIX]
+            samples = [e.time_s for e in events(result) if e.kind == EVENT_SAMPLE]
             for lo, hi in zip(fixes, fixes[1:]):
                 count = sum(1 for s in samples if lo < s <= hi)
                 assert count == expected, f"v={v} beta={beta} epoch ({lo},{hi}]"

@@ -1,14 +1,21 @@
 """Command-line interface: argument parsing, exit codes, output formats."""
 
+import contextlib
+import io
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import locsim.simulator
 from locsim.cli import MAX_LIST_VALUES, main, parse_float_list, parse_seed_list
+from locsim.config import DEFAULTS, build_simulation_config
 from locsim.errors import ConfigError
 from locsim.mobility import MAX_DURATION_S
+from locsim.simulator import MAX_EVENTS, MAX_LOGGED_EVENTS, event_bounds
 
 SUMMARY_HEADER = "kind,alpha,beta,seed,total_energy_mJ,satisfaction,fix_count,sample_count"
 GOLDEN_SEED7_ROW = "adaptive,0.500000,1.000000,7,149185.000000,0.655144,230,322"
@@ -239,18 +246,24 @@ class TestSimulate:
         assert proc.stdout == ""
         assert not out.exists()
 
-    def test_event_log_builds_no_event_records(self, tmp_path, capsys, monkeypatch):
-        argv = ["simulate", "--seed", "3", "--beta", "0.3", "--duration", "900", "--out"]
-        want = tmp_path / "want.csv"
-        assert run_cli(capsys, *argv, str(want))[0] == 0
-
-        def no_event(*args):
-            raise AssertionError("an Event was built")
-
-        monkeypatch.setattr(locsim.simulator, "Event", no_event)
-        got = tmp_path / "got.csv"
-        assert run_cli(capsys, *argv, str(got))[0] == 0
-        assert got.read_bytes() == want.read_bytes()
+    def test_oversized_event_log_exits_2_without_traceback(self, tmp_path):
+        # Allowed about 5.1e7 events: under MAX_EVENTS, so without --out it
+        # would run (not done here), but its event log could take about 10 GB.
+        config = build_simulation_config({**DEFAULTS, "duration_s": 1_000_000, "beta": 0.01})
+        assert MAX_LOGGED_EVENTS < sum(event_bounds(config)) < MAX_EVENTS
+        pytest.importorskip("resource")
+        out = tmp_path / "e.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "locsim", "simulate", "--duration", "1000000",
+             "--beta", "0.01", "--out", str(out)],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines()[-1].startswith("error: ")
+        assert "--out" in proc.stderr.splitlines()[-1]
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists()
 
     def test_event_log_written_and_deterministic(self, tmp_path, capsys):
         out_a = tmp_path / "a.csv"
@@ -411,6 +424,105 @@ class TestReproduceFigures:
         assert [row.split()[0] for row in rows] == [f"{0.1 * i:.1f}" for i in range(1, 11)]
         assert "wrote " not in out
         assert err.count("wrote ") == 4
+
+
+# (sane, extreme) values per config key for the fuzz below. Each drawn
+# file gives up to two keys an extreme value (extreme floats and integers,
+# malformed text) and its other keys a sane one, so each extreme value
+# meets an otherwise valid config. Every positive room (requirement minus
+# accuracy) the values can make is at least 1 m and every accepted horizon
+# at most 120 s, so an accepted run stays short.
+EXTREME = ["5e-324", "1e308", "inf", "-inf", "nan", "-0.0", "0", "-1", "", "x"]
+HUGE_INTS = ["-1", str(2**63), str(2**64), "1.5", "x"]
+FIELDS = {
+    "duration_s": (["0", "1", "60", "120"], HUGE_INTS),
+    "t1_s": (["1", "3", "200"], HUGE_INTS),
+    "v_min": (["1"], EXTREME),
+    "v_max": (["10", "20"], EXTREME),
+    "v0": (["2", "10"], EXTREME),
+    "seed": (["0", "1", "7", str(2**64 - 1)], HUGE_INTS),
+    "alpha": (["0.3", "0.5", "1"], EXTREME),
+    "beta": (["0.1", "0.5", "1"], [*EXTREME, "1e-9", "1.5"]),
+    "t_min_refix_s": (["0.5", "1"], [*EXTREME, "1e-9"]),
+    "strategy": (["adaptive", "fixed:gps"], ["fixed:m0", "fixed:", "fixed:nope", "gps", ""]),
+}
+NAMES = (["gps", "wifi", "m0"], ["", "a,b", "gps "])
+ACCURACIES = (["5e-324", "1", "10", "50", "150"], [*EXTREME, "1e308"])
+ENERGIES = (["5e-324", "20", "1425"], [*EXTREME, "1e308"])
+STARTS = (["60", "119", "120", "5e-324"], [*EXTREME[1:], "0"])
+REQUIREMENTS = (["1", "11", "51", "300"], [*EXTREME, "5e-324", "1e308"])
+
+
+def menu(values, bad):
+    """A value from the extreme half of the (sane, extreme) pair when ``bad``,
+    else from the sane half."""
+    return st.sampled_from(values[bad])
+
+
+def part(values, bad):
+    """A sane value, or when ``bad`` a value from either half, so that a
+    malformed method or schedule entry can have valid parts."""
+    return st.sampled_from(values[0] + values[1] if bad else values[0])
+
+
+def method_text(bad):
+    entry = st.builds(
+        "{}:{}:{}".format, part(NAMES, bad), part(ACCURACIES, bad), part(ENERGIES, bad)
+    )
+    if bad:
+        entry |= st.sampled_from(["gps:10", "gps:10:1425:1", "gps:x:1", " ", ":::"])
+    return st.lists(entry, min_size=0 if bad else 1, max_size=3).map(";".join)
+
+
+def schedule_text(bad):
+    entry = st.builds("{}:{}".format, part(STARTS, bad), part(REQUIREMENTS, bad))
+    first = st.builds("0:{}".format, part(REQUIREMENTS, bad))
+    if bad:
+        entry |= st.sampled_from(["0:1:2", "a:b", " "])
+        first |= st.just("")
+    return st.builds(lambda a, b: ",".join([a, *b]), first, st.lists(entry, max_size=3))
+
+
+@st.composite
+def config_text(draw):
+    """Config-file text: a horizon and some other keys once each, then at
+    times an unknown or duplicate key or a malformed line."""
+    bad = draw(st.lists(st.sampled_from(list(DEFAULTS)), unique=True, max_size=2))
+    others = draw(st.lists(st.sampled_from(list(DEFAULTS)), unique=True, max_size=5))
+    keys = list(dict.fromkeys(["duration_s", *bad, *others]))
+    lines = []
+    for key in keys:
+        if key == "methods":
+            value = draw(method_text(key in bad))
+        elif key == "schedule":
+            value = draw(schedule_text(key in bad))
+        else:
+            value = draw(menu(FIELDS[key], key in bad))
+        lines.append(f"{key} = {value}")
+    lines.append(draw(st.sampled_from(["", "", "# note", "speed = 1", "seed = 1", "seed 1", "= 1"])))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+class TestDrawnConfigFiles:
+    @settings(max_examples=300)
+    @given(text=config_text())
+    def test_every_command_exits_0_or_2(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_text(text)
+            calls = [
+                ["simulate", "--config", str(cfg)],
+                ["simulate", "--config", str(cfg), "--out", str(Path(tmp) / "e.csv")],
+                ["sweep", "--config", str(cfg), "--alphas", "0.3,1", "--seeds", "1..2",
+                 "--out", str(Path(tmp) / "grid.csv")],
+            ]
+            for argv in calls:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    with contextlib.redirect_stderr(io.StringIO()) as err:
+                        code = main(argv)
+                assert code in (0, 2), (argv, err.getvalue())
+                if code == 2:
+                    assert err.getvalue().splitlines()[-1].startswith("error: ")
 
 
 class TestEntryPoints:

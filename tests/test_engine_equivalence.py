@@ -27,6 +27,8 @@ from locsim.mobility import MobilityParams, generate_trace
 from locsim.simulator import event_bounds, events_to_csv, run, sweep
 from locsim.strategy import cost_rate
 
+from _events import events
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -53,7 +55,7 @@ def outcome(result):
     return (result.total_energy_mJ, result.satisfaction, result.fix_count, result.sample_count)
 
 
-def event_tuples(result):
+def event_tuples(records):
     return [
         (
             e.time_s,
@@ -64,7 +66,7 @@ def event_tuples(result):
             e.velocity_mps,
             e.v_e_mps,
         )
-        for e in result.events
+        for e in records
     ]
 
 
@@ -189,7 +191,7 @@ def test_drawn_configs_match_reference_event_for_event(refsim, values, data):
     got = run_unless_refused(ours)
     if got is not None:
         assert outcome(got) == outcome(probe)
-        assert event_tuples(got) == event_tuples(probe)
+        assert event_tuples(events(got)) == event_tuples(probe.events)
 
     # Requirement changes off the sampling grid, exactly at event times of
     # the run without them, and past the horizon.
@@ -205,7 +207,7 @@ def test_drawn_configs_match_reference_event_for_event(refsim, values, data):
     got, want = run_unless_refused(ours), refsim.simulator.run(ref)
     if got is not None:
         assert outcome(got) == outcome(want)
-        assert event_tuples(got) == event_tuples(want)
+        assert event_tuples(events(got)) == event_tuples(want.events)
         assert outcome(run(ours, record_events=False)) == outcome(want)
 
 
@@ -389,4 +391,4 @@ def test_near_tie_method_sets_match_reference_event_for_event(refsim, values):
     ours, ref = both_configs(refsim, values)
     got, want = run(ours), refsim.simulator.run(ref)
     assert outcome(got) == outcome(want)
-    assert event_tuples(got) == event_tuples(want)
+    assert event_tuples(events(got)) == event_tuples(want.events)

@@ -8,19 +8,27 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import locsim.simulator as simulator
 from locsim.config import DEFAULT_SCHEDULE_TEXT, DEFAULTS, build_simulation_config
 from locsim.errors import ConfigError
-from locsim.mobility import MobilityParams, MotionTrace, generate_trace, positions_at
+from locsim.mobility import (
+    MAX_DURATION_S,
+    MobilityParams,
+    MotionTrace,
+    generate_trace,
+    positions_at,
+)
 from locsim.simulator import (
     DEFAULT_FIGURE_BETAS,
     EVENT_FIX,
     EVENT_SAMPLE,
     EVENT_SCHEDULE_CHANGE,
     MAX_EVENTS,
+    MAX_LOGGED_EVENTS,
     AccuracySchedule,
-    Event,
     SUMMARY_CSV_HEADER,
     SimulationConfig,
     _satisfaction_exact,
@@ -35,6 +43,8 @@ from locsim.simulator import (
     RunResult,
 )
 from locsim.strategy import DEFAULT_METHODS, Method, StrategyConfig
+
+from _events import events
 
 GPS, WIFI, GSM = DEFAULT_METHODS
 
@@ -66,7 +76,7 @@ class TestAccuracySchedule:
 
     def test_change_times(self, make_constant_config):
         result = run(make_constant_config(duration=1800, requirement="0:500,600:300,1200:150"))
-        changes = [e.time_s for e in result.events if e.kind == EVENT_SCHEDULE_CHANGE]
+        changes = [e.time_s for e in events(result) if e.kind == EVENT_SCHEDULE_CHANGE]
         assert changes == [600.0, 1200.0]
 
     def test_validation(self):
@@ -113,7 +123,7 @@ class TestRunClosedForm:
         assert result.fix_count == 52
         assert result.total_energy_mJ == 1040.0
         assert result.satisfaction == 1.0
-        fixes = [e for e in result.events if e.kind == EVENT_FIX]
+        fixes = [e for e in events(result) if e.kind == EVENT_FIX]
         assert [e.time_s for e in fixes] == [70.0 * i for i in range(52)]
         assert all(e.method is GSM for e in fixes)
 
@@ -121,7 +131,7 @@ class TestRunClosedForm:
         result = run(make_constant_config(kind="fixed:gps"))
         assert result.fix_count == 37
         assert result.total_energy_mJ == 37 * 1425.0
-        fixes = [e.time_s for e in result.events if e.kind == EVENT_FIX]
+        fixes = [e.time_s for e in events(result) if e.kind == EVENT_FIX]
         assert fixes == [98.0 * i for i in range(37)]
 
     def test_result_coordinates_come_from_config(self, make_constant_config):
@@ -143,14 +153,14 @@ class TestRunClosedForm:
 
     def test_initial_fix_is_charged(self, make_constant_config):
         result = run(make_constant_config(duration=10))
-        first = result.events[0]
+        first = events(result)[0]
         assert first.kind == EVENT_FIX and first.time_s == 0.0
         assert first.energy_mJ == GSM.energy_mJ
 
     def test_fallback_refixes_every_t_min(self, make_constant_config):
         cfg = make_constant_config(duration=10, requirement="0:5")
         result = run(cfg)
-        fixes = [e for e in result.events if e.kind == EVENT_FIX]
+        fixes = [e for e in events(result) if e.kind == EVENT_FIX]
         assert [e.time_s for e in fixes] == [float(i) for i in range(10)]
         assert all(e.method is GPS for e in fixes)
         assert result.total_energy_mJ == 10 * 1425.0
@@ -172,32 +182,32 @@ class TestEventProtocol:
     def test_schedule_change_precedes_forced_fix(self, make_constant_config):
         cfg = make_constant_config(requirement="0:500,600:300", duration=700)
         result = run(cfg)
-        at_600 = [e for e in result.events if e.time_s == 600.0]
+        at_600 = [e for e in events(result) if e.time_s == 600.0]
         assert [e.kind for e in at_600] == [EVENT_SCHEDULE_CHANGE, EVENT_FIX]
 
     def test_change_coinciding_with_due_fix_yields_single_fix(self, make_constant_config):
         # Fixes land on multiples of 70; the change at 350 hits one exactly.
         cfg = make_constant_config(requirement="0:500,350:420", duration=500)
         result = run(cfg)
-        fixes_at_350 = [e for e in result.events if e.kind == EVENT_FIX and e.time_s == 350.0]
+        fixes_at_350 = [e for e in events(result) if e.kind == EVENT_FIX and e.time_s == 350.0]
         assert len(fixes_at_350) == 1
 
     def test_triggering_sample_logged_after_its_fix(self, make_constant_config):
         result = run(make_constant_config(duration=100))
-        at_70 = [e for e in result.events if e.time_s == 70.0]
+        at_70 = [e for e in events(result) if e.time_s == 70.0]
         assert [e.kind for e in at_70] == [EVENT_FIX, EVENT_SAMPLE]
 
     def test_requirement_change_cancels_pending_sample(self, make_constant_config):
         # Change at 40 arrives before the pending sample at 70 of the first epoch.
         cfg = make_constant_config(requirement="0:500,40:450", duration=60)
         result = run(cfg)
-        samples = [e.time_s for e in result.events if e.kind == EVENT_SAMPLE]
+        samples = [e.time_s for e in events(result) if e.kind == EVENT_SAMPLE]
         assert 70.0 not in samples
 
     def test_events_sorted_by_time(self, make_constant_config):
         cfg = make_constant_config(requirement="0:500,600:300,1200:150")
         result = run(cfg)
-        times = [e.time_s for e in result.events]
+        times = [e.time_s for e in events(result)]
         assert times == sorted(times)
 
     def test_sample_events_carry_updated_estimate(self):
@@ -206,8 +216,8 @@ class TestEventProtocol:
             params, StrategyConfig(alpha=0.5, beta=0.5), parse_schedule("0:500")
         )
         result = run(cfg)
-        first_sample = next(e for e in result.events if e.kind == EVENT_SAMPLE)
-        fix0 = result.events[0]
+        first_sample = next(e for e in events(result) if e.kind == EVENT_SAMPLE)
+        fix0 = events(result)[0]
         expected = 0.5 * first_sample.velocity_mps + 0.5 * fix0.v_e_mps
         assert first_sample.v_e_mps == pytest.approx(expected, abs=1e-12)
 
@@ -252,11 +262,27 @@ class TestEventLog:
             {**DEFAULTS, "duration_s": duration, "beta": 0.3, "schedule": "0:300,500:80"}
         )
         result = run(cfg)
-        assert result.log and all(type(row) is tuple for row in result.log)
-        assert result.events == tuple(Event(*row) for row in result.log)
-        assert result.events is result.events
+        assert result.log and all(type(row) is tuple and len(row) == 7 for row in result.log)
+        assert [e.kind for e in events(result)][:1] == [EVENT_FIX]
+        assert all(
+            (e.method is None) == (e.energy_mJ is None) == (e.kind != EVENT_FIX)
+            for e in events(result)
+        )
         slim = run(cfg, record_events=False)
-        assert slim.log == () and slim.events == ()
+        assert slim.log == ()
+
+    @given(
+        method=st.sampled_from(DEFAULT_METHODS),
+        seed=st.sampled_from([1, 7, 30]),
+        beta=st.sampled_from([0.1, 0.5, 1.0]),
+    )
+    def test_adaptive_over_one_method_is_that_fixed_method(self, method, seed, beta):
+        values = {**DEFAULTS, "seed": seed, "beta": beta}
+        pinned = run(build_simulation_config({**values, "strategy": f"fixed:{method.name}"}))
+        only = run(build_simulation_config({**values, "methods": f"{method.name}:"
+                                            f"{method.accuracy_m!r}:{method.energy_mJ!r}"}))
+        assert only.kind == "adaptive"
+        assert replace(pinned, kind="adaptive") == only
 
     def test_positions_are_those_of_positions_at(self):
         cfg = build_simulation_config({**DEFAULTS, "duration_s": 900, "beta": 0.3, "seed": 4})
@@ -296,6 +322,21 @@ class TestEventBounds:
             assert result.fix_count <= fixes and result.sample_count <= samples
             assert fixes + samples < MAX_EVENTS / 1000
 
+    def test_recorded_run_is_refused_above_the_log_limit(self, monkeypatch):
+        monkeypatch.setattr(simulator, "generate_trace", no_trace)
+        cfg = build_simulation_config({**DEFAULTS, "duration_s": 1_000_000, "beta": 0.01})
+        # About 5.1e7 events: allowed without a log, too many to keep one.
+        assert MAX_LOGGED_EVENTS < simulator._allowed_events(cfg) < MAX_EVENTS
+        with pytest.raises(ConfigError, match="an event log may hold; drop --out"):
+            run(cfg)
+
+    @pytest.mark.parametrize("kind", ["adaptive", "fixed:gps", "fixed:wifi", "fixed:gsm"])
+    def test_default_runs_at_beta_one_tenth_record_up_to_the_longest_horizon(self, kind):
+        cfg = build_simulation_config(
+            {**DEFAULTS, "duration_s": MAX_DURATION_S, "beta": 0.1, "strategy": kind}
+        )
+        assert simulator._allowed_events(cfg, record_events=True) <= MAX_LOGGED_EVENTS
+
     def test_rounding_that_could_stall_time_is_refused(self):
         # At t = 1e5 the float spacing is about 1.5e-11 s, so re-fixing every
         # 1e-12 s would leave t where it is.
@@ -311,7 +352,7 @@ class TestEventBounds:
 class TestMetrics:
     def test_total_energy_sums_fix_events(self, make_constant_config):
         result = run(make_constant_config())
-        fix_energy = math.fsum(e.energy_mJ for e in result.events if e.kind == EVENT_FIX)
+        fix_energy = math.fsum(e.energy_mJ for e in events(result) if e.kind == EVENT_FIX)
         assert fix_energy == result.total_energy_mJ == 1040.0
 
     def test_replay_determinism(self):
@@ -330,7 +371,7 @@ class TestMetrics:
         )
         full = run(cfg)
         slim = run(cfg, record_events=False)
-        assert slim.events == ()
+        assert slim.log == ()
         assert (slim.total_energy_mJ, slim.satisfaction, slim.fix_count, slim.sample_count) == (
             full.total_energy_mJ,
             full.satisfaction,
@@ -345,7 +386,7 @@ class TestMetrics:
         )
         result = run(cfg)
         by_method = {}
-        for e in result.events:
+        for e in events(result):
             if e.kind == EVENT_FIX:
                 by_method[e.method.name] = by_method.get(e.method.name, 0) + 1
         per_method = {m.name: m.energy_mJ for m in DEFAULT_METHODS}
@@ -398,7 +439,7 @@ class TestSatisfaction:
             )
             result = run(cfg)
             trace = generate_trace(params)
-            approx = grid_satisfaction(result.events, trace, sched)
+            approx = grid_satisfaction(events(result), trace, sched)
             assert result.satisfaction == pytest.approx(approx, abs=1e-4)
 
 
@@ -417,8 +458,8 @@ class TestBetaInvariance:
     def test_per_epoch_sample_count_is_ceil_inverse_beta(self, make_constant_config):
         for beta in (0.1, 0.3, 0.5, 1.0):
             result = run(make_constant_config(beta=beta, duration=700))
-            fixes = [e.time_s for e in result.events if e.kind == EVENT_FIX]
-            samples = [e.time_s for e in result.events if e.kind == EVENT_SAMPLE]
+            fixes = [e.time_s for e in events(result) if e.kind == EVENT_FIX]
+            samples = [e.time_s for e in events(result) if e.kind == EVENT_SAMPLE]
             expected = math.ceil(1.0 / beta)
             for lo, hi in zip(fixes, fixes[1:]):
                 inside = [s for s in samples if lo < s <= hi]
@@ -503,8 +544,8 @@ class TestCsvRoundTrips:
 
     def test_events_roundtrip_parseable(self, make_constant_config):
         result = run(make_constant_config(duration=300, requirement="0:500,150:120"))
-        back = list(csv.DictReader(io.StringIO(events_to_csv(result.events))))
-        assert len(back) == len(result.events)
-        assert [row["kind"] for row in back] == [e.kind for e in result.events]
+        back = list(csv.DictReader(io.StringIO(events_to_csv(events(result)))))
+        assert len(back) == len(events(result))
+        assert [row["kind"] for row in back] == [e.kind for e in events(result)]
         fix_energy = [float(row["energy_mJ"]) for row in back if row["kind"] == EVENT_FIX]
-        assert fix_energy == [e.energy_mJ for e in result.events if e.kind == EVENT_FIX]
+        assert fix_energy == [e.energy_mJ for e in events(result) if e.kind == EVENT_FIX]

@@ -31,12 +31,13 @@ from locsim.strategy import (
     StrategyConfig,
     begin_epoch,
     cost_rate,
-    most_accurate_method,
     on_velocity_sample,
     parse_methods,
     plan_method,
     select_method,
 )
+
+from _events import events
 
 GPS, WIFI, GSM = DEFAULT_METHODS
 
@@ -198,9 +199,6 @@ class TestSelectMethod:
             if base is not None:
                 assert got.name == base.name
 
-    def test_most_accurate_method(self):
-        assert most_accurate_method(DEFAULT_METHODS) is GPS
-
 
 class TestPlanMethod:
     """The per-requirement plan is select_method's choice at every v_e in
@@ -269,11 +267,11 @@ def step_trace_run(velocities, schedule="0:500", alpha=0.5, beta=1.0):
 
 
 def fixes(result):
-    return [e for e in result.events if e.kind == EVENT_FIX]
+    return [e for e in events(result) if e.kind == EVENT_FIX]
 
 
 def samples(result):
-    return [e for e in result.events if e.kind == EVENT_SAMPLE]
+    return [e for e in events(result) if e.kind == EVENT_SAMPLE]
 
 
 class TestBeginEpoch:
@@ -281,7 +279,7 @@ class TestBeginEpoch:
 
     def test_first_fix_initializes_ewma_to_sample(self, make_constant_config):
         result = run(make_constant_config(v=5.0, duration=100))
-        first = result.events[0]
+        first = events(result)[0]
         assert (first.kind, first.time_s, first.v_e_mps) == (EVENT_FIX, 0.0, 5.0)
         assert first.method is GSM
         # budget 500 - 150 = 350 m lasts t_s = 70 s at 5 m/s.
@@ -294,7 +292,7 @@ class TestBeginEpoch:
     def test_ewma_persists_across_epochs(self):
         # A change at t=10 forces a fix where the velocity has ramped to 8.
         result = step_trace_run([4.0, 5.0, 6.0, 7.0] + [8.0] * 16, schedule="0:500,10:500")
-        change = next(e for e in result.events if e.kind == EVENT_SCHEDULE_CHANGE)
+        change = next(e for e in events(result) if e.kind == EVENT_SCHEDULE_CHANGE)
         assert (change.time_s, change.v_e_mps) == (10.0, 4.0)
         assert [(e.time_s, e.v_e_mps) for e in fixes(result)] == [(0.0, 4.0), (10.0, 6.0)]
 
@@ -324,12 +322,12 @@ class TestOnVelocitySample:
 
     def test_single_shot_fix_at_epoch_end(self, make_constant_config):
         result = run(make_constant_config(v=5.0, duration=100, beta=1.0))
-        at_70 = [(e.kind, e.method) for e in result.events if e.time_s == 70.0]
+        at_70 = [(e.kind, e.method) for e in events(result) if e.time_s == 70.0]
         assert at_70 == [(EVENT_FIX, GSM), (EVENT_SAMPLE, None)]
 
     def test_two_step_sampling(self, make_constant_config):
         result = run(make_constant_config(v=5.0, duration=100, beta=0.5))
-        assert [(e.time_s, e.kind) for e in result.events] == [
+        assert [(e.time_s, e.kind) for e in events(result)] == [
             (0.0, EVENT_FIX),
             (35.0, EVENT_SAMPLE),
             (70.0, EVENT_FIX),
@@ -384,7 +382,7 @@ class TestOnRequirementChange:
 
     def test_selects_method_for_new_requirement(self, make_constant_config):
         result = run(make_constant_config(v=5.0, duration=700, requirement="0:500,600:50"))
-        at_600 = [(e.kind, e.method) for e in result.events if e.time_s == 600.0]
+        at_600 = [(e.kind, e.method) for e in events(result) if e.time_s == 600.0]
         assert at_600 == [(EVENT_SCHEDULE_CHANGE, None), (EVENT_FIX, GPS)]
 
     def test_cancels_pending_sample(self, make_constant_config):
