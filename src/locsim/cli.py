@@ -125,9 +125,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     values = _resolved(args)
     cfg = build_simulation_config(values)
     result = run(cfg, record_events=args.out is not None)
-    sys.stdout.write(summary_to_csv([result]))
+    # The event CSV first: a run whose log cannot be written prints no summary.
     if args.out is not None:
         write_events_csv(result.log, args.out)
+    sys.stdout.write(summary_to_csv([result]))
     return 0
 
 

@@ -130,7 +130,12 @@ def generate_trace(params: MobilityParams) -> MotionTrace:
     The draws reproduce ``rng.integers(k)`` over the k admissible
     accelerations of (-1, 0, +1): numpy maps a 32-bit value ``x`` to
     ``(x * k) >> 32`` (Lemire), and for k == 3 rejects ``x == 0`` and takes
-    the next value. The 32-bit values are drawn in bulk and walked as ints.
+    the next value. The 32-bit values are drawn in bulk, one per remaining
+    event, and :func:`_step_tables` turns each draw into two int lists, the
+    index for k == 3 (-1 where ``x == 0``) and for k == 2; the walk indexes
+    them, skipping -1 at an event with three choices. When a list runs out,
+    at the start or after rejected values, the next bulk draw is again one
+    value per remaining event.
     """
     rng = np.random.default_rng(params.seed)
     n = max(1, params.duration_s)
@@ -139,26 +144,35 @@ def generate_trace(params: MobilityParams) -> MotionTrace:
     v_min, v_max = params.v_min, params.v_max
     cur = float(params.v0)
     levels = [cur]
-    draws: list[int] = []
-    i = 0
+    three: list[int] = []
+    two: list[int] = []
+    i = drawn = 0
     for e in range(events):
         down = cur - 1 >= v_min
         up = cur + 1 <= v_max
         if down or up:
-            k = 3 if down and up else 2
             while True:
-                if i == len(draws):  # at the start, or after rejected values
-                    draws = rng.integers(0, 2**32, dtype=np.uint32, size=events - e).tolist()
+                if i == drawn:  # at the start, or after rejected values
+                    drawn = events - e
+                    three, two = _step_tables(rng, drawn)
                     i = 0
-                x = draws[i]
+                s = three[i] if down and up else two[i]
                 i += 1
-                if x or k == 2:
+                if s >= 0:
                     break
-            # Index (x * k) >> 32 into (-1, 0, +1), (-1, 0) or (0, +1).
-            cur += ((x * k) >> 32) - 1 if down else (x * k) >> 32
+            # Index s into (-1, 0, +1), (-1, 0) or (0, +1).
+            cur += s - 1 if down else s
         levels.append(cur)
     counts = [t1] * events + [n - events * t1]
     return MotionTrace(params=params, velocities=np.repeat(np.array(levels), counts))
+
+
+def _step_tables(rng: np.random.Generator, size: int) -> tuple[list[int], list[int]]:
+    """Draw ``size`` 32-bit values ``x`` and map each to ``(x * 3) >> 32``,
+    or -1 where ``x == 0``, and to ``(x * 2) >> 32``, computed as ``x >> 31``."""
+    x = rng.integers(0, 2**32, dtype=np.uint32, size=size)
+    three = np.where(x == 0, -1, (x.astype(np.int64) * 3) >> 32)
+    return three.tolist(), (x >> 31).tolist()
 
 
 def positions_at(trace: MotionTrace, times: np.ndarray) -> np.ndarray:

@@ -402,10 +402,13 @@ def _event_loop(
     next schedule entry, and the method is planned again.
 
     Each event is logged as a plain tuple in :class:`RunResult` log order,
-    its position computed in the loop as ``cum[k] + (t - k) * v`` with
-    ``k = int(t)``: the float expression of
-    :func:`~locsim.mobility.positions_at`. :func:`_runs_on_trace` is the
-    loop's one caller.
+    its position computed in the loop as ``cum[k] + (t - k) * v``: the float
+    expression of :func:`~locsim.mobility.positions_at`. Here ``k = int(t)``
+    is taken once per event, where the event's velocity ``vel[k]`` is looked
+    up; a fix reuses the ``k`` of the event that set its time (t = 0, the
+    sample that called for it, a change, or a fallback re-fix). The
+    unrecorded loop makes the same one ``int()`` call per sample.
+    :func:`_runs_on_trace` is the loop's one caller.
     """
     duration = float(trace.params.duration_s)
     vel = trace.velocity_list  # every event index int(t) is < duration, so in range
@@ -428,6 +431,7 @@ def _event_loop(
     plan = plan_method(cfg.methods, a_t, v_hi)
     bound = min(change_t, duration)
     t = 0.0
+    k = 0  # int(t), shared by the velocity lookup and the logged position
     v = vel[0]
     v_e: Optional[float] = None
     while True:
@@ -438,7 +442,6 @@ def _event_loop(
         fix_times.append(t)
         fix_rooms.append(room)
         if record_events:
-            k = int(t)
             log.append((t, EVENT_FIX, method, method.energy_mJ, cum[k] + (t - k) * v, v, v_e))
             if trigger is not None:
                 log.append(trigger)
@@ -452,20 +455,19 @@ def _event_loop(
             r_i = 0.0
             n = 0  # samples taken in this epoch
             while t_next < bound:
-                v = vel[int(t_next)]
+                k = int(t_next)
+                v = vel[k]
                 v_e = on_velocity_sample(v_e, v, alpha)
                 r_i += v_e * wait
                 n += 1
                 if not r_i < limit:
                     fix_due = True
                     if record_events:
-                        k = int(t_next)
                         trigger = (
                             t_next, EVENT_SAMPLE, None, None, cum[k] + (t_next - k) * v, v, v_e
                         )
                     break
                 if record_events:
-                    k = int(t_next)
                     log.append(
                         (t_next, EVENT_SAMPLE, None, None, cum[k] + (t_next - k) * v, v, v_e)
                     )
@@ -473,7 +475,8 @@ def _event_loop(
             samples += n
         elif t_next < bound:
             fix_due = True
-            v = vel[int(t_next)]
+            k = int(t_next)
+            v = vel[k]
 
         if fix_due:
             t = t_next
@@ -481,9 +484,9 @@ def _event_loop(
             # A change due exactly when a fix was scheduled coalesces into
             # this single forced fix.
             t = change_t
-            v = vel[int(t)]
+            k = int(t)
+            v = vel[k]
             if record_events:
-                k = int(t)
                 log.append(
                     (t, EVENT_SCHEDULE_CHANGE, None, None, cum[k] + (t - k) * v, v, v_e)
                 )
@@ -689,23 +692,34 @@ def write_mean_csv(means: Sequence[SweepMean], path) -> None:
         fh.write(means_to_csv(means))
 
 
-# "%.6f" % x is the same string as f"{x:.6f}" for every float.
-_EVENT_ROW = "%.6f,%s,,,%.6f,%.6f,%.6f\n"
-_FIX_ROW = "%.6f,%s,%s,%.6f,%.6f,%.6f,%.6f\n"
+# "%.6f" % x is the same string as f"{x:.6f}" for every float. The
+# velocity comes formatted already, hence its "%s".
+_EVENT_ROW = "%.6f,%s,,,%.6f,%s,%.6f\n"
+_FIX_ROW = "%.6f,%s,%s,%.6f,%.6f,%s,%.6f\n"
 
 
 def events_to_csv(rows: Sequence[tuple]) -> str:
     """The event CSV of ``rows``: 7-tuples in :class:`RunResult` log order,
-    such as :attr:`RunResult.log`, formatted with one ``%`` over the whole log."""
+    such as :attr:`RunResult.log`, formatted with one ``%`` over the whole log.
+
+    Each distinct velocity is formatted once per call and its text reused:
+    a run logs only its trace's levels (10 by default, across about 1,600
+    rows of a paper run). Velocities are at least v_min >= 1 m/s, so no two
+    equal keys (0.0 and -0.0) would need different texts.
+    """
     templates: list[str] = []
     values: list = []
+    texts: dict[float, str] = {}
     for t, kind, method, energy_mJ, position, v, v_e in rows:
+        text = texts.get(v)
+        if text is None:
+            text = texts[v] = "%.6f" % v
         if method is None:
             templates.append(_EVENT_ROW)
-            values += (t, kind, position, v, v_e)
+            values += (t, kind, position, text, v_e)
         else:
             templates.append(_FIX_ROW)
-            values += (t, kind, method.name, energy_mJ, position, v, v_e)
+            values += (t, kind, method.name, energy_mJ, position, text, v_e)
     return EVENT_CSV_HEADER + "\n" + "".join(templates) % tuple(values)
 
 

@@ -280,9 +280,10 @@ class TestSimulate:
 
     def test_out_into_missing_dir_exits_1(self, tmp_path, capsys):
         target = tmp_path / "no_such_dir" / "events.csv"
-        code, _, err = run_cli(capsys, "simulate", "--out", str(target))
+        code, out, err = run_cli(capsys, "simulate", "--out", str(target))
         assert code == 1
         assert err != ""
+        assert out == ""
 
     def test_stdout_identical_across_invocations(self, capsys):
         _, first, _ = run_cli(capsys, "simulate", "--seed", "11")

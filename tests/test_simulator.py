@@ -23,6 +23,7 @@ from locsim.mobility import (
 )
 from locsim.simulator import (
     DEFAULT_FIGURE_BETAS,
+    EVENT_CSV_HEADER,
     EVENT_FIX,
     EVENT_SAMPLE,
     EVENT_SCHEDULE_CHANGE,
@@ -285,11 +286,19 @@ class TestEventLog:
         assert replace(pinned, kind="adaptive") == only
 
     def test_positions_are_those_of_positions_at(self):
-        cfg = build_simulation_config({**DEFAULTS, "duration_s": 900, "beta": 0.3, "seed": 4})
-        trace = generate_trace(cfg.mobility)
-        log = run(cfg, trace=trace).log
-        times = np.array([row[0] for row in log])
-        assert [row[4] for row in log] == positions_at(trace, times).tolist()
+        # The default schedule gives samples, forced fixes and changes; under
+        # 0:300,500:5 no method beats 5 m, so the run re-fixes every
+        # t_min_refix_s from t = 500 on (fallback re-fixes). A loop, not
+        # parametrize, keeps this test's id.
+        for schedule in (DEFAULT_SCHEDULE_TEXT, "0:300,500:5"):
+            cfg = build_simulation_config(
+                {**DEFAULTS, "duration_s": 900, "beta": 0.3, "seed": 4, "schedule": schedule}
+            )
+            trace = generate_trace(cfg.mobility)
+            log = run(cfg, trace=trace).log
+            times = np.array([row[0] for row in log])
+            assert [row[4] for row in log] == positions_at(trace, times).tolist(), schedule
+            assert {row[1] for row in log} == {EVENT_FIX, EVENT_SAMPLE, EVENT_SCHEDULE_CHANGE}
 
 
 def no_trace(params):
@@ -530,7 +539,47 @@ class TestSweep:
         )
 
 
+def csv_by_field(rows):
+    """The event CSV written field by field, as an oracle for :func:`events_to_csv`."""
+    lines = [EVENT_CSV_HEADER]
+    for t, kind, method, energy_mJ, position, v, v_e in rows:
+        name, energy = ("", "") if method is None else (method.name, f"{energy_mJ:.6f}")
+        lines.append(
+            ",".join([f"{t:.6f}", kind, name, energy, f"{position:.6f}", f"{v:.6f}", f"{v_e:.6f}"])
+        )
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def log_rows(draw):
+    """Event-log 7-tuples with few distinct velocities, huge energies and
+    positions, and method names holding ``%``."""
+    big = st.floats(0.0, 1e300) | st.sampled_from([0.0, 0.5e-6, 1e300])
+    names = st.text(alphabet="%sdf.6a", min_size=1, max_size=6)
+    method = st.builds(Method, names, st.just(1.0), big.filter(bool))
+    methods = draw(st.lists(method, min_size=1, max_size=3))
+    near = st.sampled_from([1.0, 1.0000004, 1.0000006, 2.0])  # texts 1.000000 to 2.000000
+    levels = draw(st.lists(st.floats(1.0, 1e6) | near, min_size=1, max_size=4))
+    row = st.tuples(
+        st.floats(0.0, 1e6),
+        st.sampled_from([EVENT_SAMPLE, EVENT_SCHEDULE_CHANGE]),
+        st.sampled_from([None] + methods),
+        big,
+        big,
+        st.sampled_from(levels),
+        st.floats(0.5, 1e6),
+    ).map(
+        lambda r: (r[0], r[1], None, None, *r[4:]) if r[2] is None else (r[0], EVENT_FIX, *r[2:])
+    )
+    return draw(st.lists(row, max_size=30))
+
+
 class TestCsvRoundTrips:
+    @given(rows=log_rows())
+    def test_events_csv_matches_field_by_field_formatting(self, rows):
+        # Lines, not one string: pytest's diff of long strings is slow to shrink with.
+        assert events_to_csv(rows).splitlines() == csv_by_field(rows).splitlines()
+
     def test_summary_roundtrip(self):
         rows = [
             RunResult("adaptive", 0.5, 1.0, 7, 1040.0, 1.0, 52, 51),
