@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import product
 from typing import Optional, Sequence
@@ -54,6 +54,7 @@ __all__ = [
     "MAX_EVENTS",
     "MAX_LOGGED_EVENTS",
     "RUN_EVENTS_FLOOR",
+    "CSV_BLOCK_ROWS",
     "event_bounds",
     "run",
     "SweepMean",
@@ -133,27 +134,27 @@ class SimulationConfig:
     ``strategy_kind`` is either "adaptive" (cost-rate method selection) or
     "fixed:<name>" which pins that method while keeping the same scheduling
     loop (budget-driven sampling, forced re-fix on requirement changes).
+    ``loop_strategy`` is derived from the two: ``strategy_cfg`` with the
+    methods the kind uses, all of them or the pinned one alone.
     """
 
     mobility: MobilityParams
     strategy_cfg: StrategyConfig
     schedule: AccuracySchedule
     strategy_kind: str = "adaptive"
+    loop_strategy: StrategyConfig = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.pinned_method()
-
-    def pinned_method(self) -> Optional[Method]:
-        kind = self.strategy_kind
-        if kind == "adaptive":
-            return None
+        cfg, kind = self.strategy_cfg, self.strategy_kind
         if kind.startswith("fixed:"):
             name = kind[len("fixed:"):]
-            for m in self.strategy_cfg.methods:
-                if m.name == name:
-                    return m
-            raise ConfigError(f"strategy {kind!r} names an unknown method {name!r}")
-        raise ConfigError(f"strategy must be 'adaptive' or 'fixed:<name>', got {kind!r}")
+            pinned = tuple(m for m in cfg.methods if m.name == name)
+            if not pinned:
+                raise ConfigError(f"strategy {kind!r} names an unknown method {name!r}")
+            cfg = replace(cfg, methods=pinned)
+        elif kind != "adaptive":
+            raise ConfigError(f"strategy must be 'adaptive' or 'fixed:<name>', got {kind!r}")
+        object.__setattr__(self, "loop_strategy", cfg)
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,7 @@ def on_requirement_change(
 # more than this would take hours and fill memory with its event log.
 MAX_EVENTS = 10**8
 # The most a run that records its event log may be allowed: a logged event
-# keeps about 200 B, so this caps the log near 2 GB.
+# keeps about 200 B, so this caps the log near 2 GB (plus one written block).
 MAX_LOGGED_EVENTS = 10**7
 
 
@@ -227,11 +228,10 @@ def event_bounds(config: SimulationConfig) -> tuple[float, float]:
     float division rounds monotonically, so a run that passes has a finite
     rate at every fix and falls back only where no method beats a_t.
     """
-    cfg = config.strategy_cfg
-    pinned = config.pinned_method()
+    cfg = config.loop_strategy
     return _event_bounds(
         config.schedule.entries,
-        cfg.methods if pinned is None else (pinned,),
+        cfg.methods,
         float(config.mobility.duration_s),
         2.0 * config.mobility.v_max,
         cfg.beta,
@@ -303,14 +303,6 @@ def _allowed_events(config: SimulationConfig, record_events: bool = False) -> fl
     return most
 
 
-def _loop_strategy(config: SimulationConfig) -> StrategyConfig:
-    """``config``'s strategy knobs with the methods its kind uses: all of
-    them for "adaptive", the pinned one alone for "fixed:<name>"."""
-    cfg = config.strategy_cfg
-    pinned = config.pinned_method()
-    return cfg if pinned is None else replace(cfg, methods=(pinned,))
-
-
 def run(
     config: SimulationConfig,
     *,
@@ -333,7 +325,7 @@ def run(
         trace = generate_trace(config.mobility)
     elif trace.params != config.mobility:
         raise ConfigError("supplied trace was generated from different mobility parameters")
-    cells = [(config.strategy_kind, _loop_strategy(config))]
+    cells = [(config.strategy_kind, config.loop_strategy)]
     (result,) = _runs_on_trace(cells, config.schedule.entries, trace, record_events)
     return result
 
@@ -390,16 +382,16 @@ def _event_loop(
     :func:`~locsim.strategy.begin_epoch`, called once per fix, which folds
     the velocity at the fix into the EWMA ``v_e`` and takes the method that
     :func:`~locsim.strategy.plan_method` chose for the requirement in force,
-    or selects one at this ``v_e`` when there is no plan, and returns the
-    wait ``(a_t - accuracy_m) / v_e * beta``. A positive room (requirement
-    minus method accuracy) is sampled every wait. Each sample calls
+    or selects one at this ``v_e`` when there is no plan. The loop times
+    the epoch from the room (requirement minus method accuracy). A positive
+    room is sampled every ``wait = room / v_e * beta``. Each sample calls
     :func:`~locsim.strategy.on_velocity_sample`, the one EWMA, once, and the
-    loop itself advances the distance estimate ``r_i`` by ``v_e * wait``;
-    the sample at which ``r_i`` reaches the room calls for a fix at that
-    same instant. A room <= 0 (no method beats the requirement) re-fixes
-    after a wait of ``t_min_refix_s`` instead. At each
-    change of the requirement :func:`on_requirement_change` moves to the
-    next schedule entry, and the method is planned again.
+    loop advances the distance estimate ``r_i`` by ``v_e * wait``; the
+    sample at which ``r_i`` reaches the room calls for a fix at that same
+    instant. A room <= 0, where no method beats the requirement, re-fixes
+    after ``t_min_refix_s`` instead. At each change of the requirement
+    :func:`on_requirement_change` moves to the next schedule entry, and the
+    method is planned again.
 
     Each event is logged as a plain tuple in :class:`RunResult` log order,
     its position computed in the loop as ``cum[k] + (t - k) * v``: the float
@@ -413,7 +405,7 @@ def _event_loop(
     duration = float(trace.params.duration_s)
     vel = trace.velocity_list  # every event index int(t) is < duration, so in range
     cum = trace.cumulative_m.tolist() if record_events else None
-    alpha = cfg.alpha
+    alpha, beta, t_min = cfg.alpha, cfg.beta, cfg.t_min_refix_s
     near = 1.0 - BUDGET_REL_TOL
     # The EWMA of velocities in [v_min, v_max] stays there up to rounding,
     # so twice v_max bounds it with room to spare.
@@ -436,7 +428,7 @@ def _event_loop(
     v_e: Optional[float] = None
     while True:
         # A fix at t; v is the velocity at t.
-        v_e, method, wait = begin_epoch(cfg, a_t, v, v_e, plan)
+        v_e, method = begin_epoch(cfg, a_t, v, v_e, plan)
         room = a_t - method.accuracy_m
         energy += method.energy_mJ
         fix_times.append(t)
@@ -449,8 +441,9 @@ def _event_loop(
 
         # Find the next event: a fix (fix_due), else a change or the horizon.
         fix_due = False
-        t_next = t + wait
         if room > 0.0:
+            wait = room / v_e * beta
+            t_next = t + wait
             limit = room * near
             r_i = 0.0
             n = 0  # samples taken in this epoch
@@ -473,10 +466,12 @@ def _event_loop(
                     )
                 t_next = t + (n + 1) * wait
             samples += n
-        elif t_next < bound:
-            fix_due = True
-            k = int(t_next)
-            v = vel[k]
+        else:
+            t_next = t + t_min
+            if t_next < bound:
+                fix_due = True
+                k = int(t_next)
+                v = vel[k]
 
         if fix_due:
             t = t_next
@@ -564,9 +559,10 @@ def sweep(
 ) -> list[RunResult]:
     """Run the grid; rows come in deterministic (kind, alpha, beta, seed) order.
 
-    Before any trace, each (kind, alpha, beta) cell config is built once and
-    bounded. A refused cell is named with the first seed, as bounds do not
-    depend on seeds. The grid is refused too when its runs allow over
+    Before any trace, each distinct seed's mobility parameters are built,
+    and each (kind, alpha, beta) cell config is built once and bounded. A
+    refused cell is named with the first seed, as bounds do not depend on
+    seeds. The grid is refused too when its runs allow over
     :data:`MAX_EVENTS` events in all, each run charged at least
     :data:`RUN_EVENTS_FLOOR`.
 
@@ -578,6 +574,12 @@ def sweep(
     """
     if not alphas or not betas or not seeds or not kinds:
         raise ConfigError("sweep needs at least one alpha, beta, seed and kind")
+    seed_params: dict[int, MobilityParams] = {}
+    for seed in dict.fromkeys(seeds):
+        try:
+            seed_params[seed] = replace(base.mobility, seed=seed)
+        except ConfigError as exc:
+            raise ConfigError(f"sweep seed={seed}: {exc}") from exc
     cells: list[tuple[str, StrategyConfig]] = []
     most = 0.0
     for kind, alpha, beta in product(kinds, alphas, betas):
@@ -597,13 +599,11 @@ def sweep(
                 f"more than {MAX_EVENTS:.0e} fixes and samples, each run counted as at least "
                 f"{RUN_EVENTS_FLOOR}; shrink the grid or the duration"
             )
-        cells.append((kind, _loop_strategy(cfg)))
+        cells.append((kind, cfg.loop_strategy))
     entries = base.schedule.entries
     by_seed = {
-        seed: _runs_on_trace(
-            cells, entries, generate_trace(replace(base.mobility, seed=seed)), False
-        )
-        for seed in dict.fromkeys(seeds)
+        seed: _runs_on_trace(cells, entries, generate_trace(params), False)
+        for seed, params in seed_params.items()
     }
     return [by_seed[seed][i] for i in range(len(cells)) for seed in seeds]
 
@@ -723,6 +723,12 @@ def events_to_csv(rows: Sequence[tuple]) -> str:
     return EVENT_CSV_HEADER + "\n" + "".join(templates) % tuple(values)
 
 
+CSV_BLOCK_ROWS = 65_536  # rows per events_to_csv call in write_events_csv
+
+
 def write_events_csv(rows: Sequence[tuple], path) -> None:
+    """Write ``events_to_csv(rows)`` to ``path``, formatted one block at a time."""
     with open(path, "w", newline="") as fh:
-        fh.write(events_to_csv(rows))
+        fh.write(events_to_csv(rows[:CSV_BLOCK_ROWS]))
+        for lo in range(CSV_BLOCK_ROWS, len(rows), CSV_BLOCK_ROWS):
+            fh.write(events_to_csv(rows[lo : lo + CSV_BLOCK_ROWS])[len(EVENT_CSV_HEADER) + 1 :])

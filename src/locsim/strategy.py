@@ -9,11 +9,11 @@ accumulated distance estimate exhausts that budget.
 An epoch starts at a fix and ends at the next one. The epoch sampling
 interval ``t_s`` is frozen when the epoch begins; velocity is re-sampled
 every ``t_s * beta`` seconds and each sample advances the distance
-estimate by ``v_e * t_s * beta``. The event loop that does this is
-``locsim.simulator._event_loop``; this module holds what it is configured
-with and the steps it calls: :func:`plan_method` when a requirement comes
-into force, :func:`begin_epoch` once per fix and :func:`on_velocity_sample`,
-the one EWMA, once per sample.
+estimate by ``v_e * t_s * beta``. The event loop that does this, and times
+each epoch, is ``locsim.simulator._event_loop``; this module holds what it
+is configured with and the steps it calls: :func:`plan_method` when a
+requirement comes into force, :func:`begin_epoch`, which takes the method,
+once per fix and :func:`on_velocity_sample`, the one EWMA, once per sample.
 """
 
 from __future__ import annotations
@@ -158,10 +158,8 @@ def select_method(methods: Sequence[Method], a_t: float, v_e: float) -> Optional
     """Pick the eligible method with the lowest cost rate.
 
     Ties break on smaller accuracy_m, then lexicographic name. Returns
-    None when no rate is finite (the caller falls back to periodic
-    re-fixing with the most accurate method); in a run, whose preflight
-    refuses overflowing rates, only when no method beats the requirement.
-    The choice is independent of v_e > 0, up to rounding.
+    None when no rate is finite (:func:`begin_epoch` then falls back). The
+    choice is independent of v_e > 0, up to rounding.
     """
     best: Optional[Method] = None
     best_key: tuple[float, float, str] | None = None
@@ -208,18 +206,14 @@ def plan_method(methods: Sequence[Method], a_t: float, v_hi: float) -> Optional[
 
 def begin_epoch(
     cfg: StrategyConfig, a_t: float, v: float, v_e: Optional[float], plan: Optional[Method]
-) -> tuple[float, Method, float]:
-    """Open the epoch that starts at a fix under requirement ``a_t``.
-
-    Folds the fix-time velocity ``v`` into the EWMA ``v_e`` with
-    :func:`on_velocity_sample` (None before the first fix, which sets it to
-    ``v``) and takes the method: ``plan``, the :func:`plan_method` choice
-    for ``a_t``, or when that is None the :func:`select_method` choice at
-    this ``v_e``. Returns (v_e, method, wait): the epoch is sampled every
-    wait = (a_t - accuracy_m) / v_e * beta seconds, from the fix on. When
-    :func:`select_method` finds no method, the most accurate one (ties
-    broken by name) is used and wait = t_min_refix_s. In a run its room
-    a_t - accuracy_m is then <= 0, so it re-fixes after the wait instead.
+) -> tuple[float, Method]:
+    """Open the epoch that starts at a fix under requirement ``a_t``: fold
+    the fix-time velocity ``v`` into the EWMA ``v_e`` (None before the first
+    fix, which sets it to ``v``) and take the method, ``plan`` or, when that
+    is None, the :func:`select_method` choice at this ``v_e``. When that
+    finds none, the most accurate method (ties broken by name) is used; in
+    a run, whose preflight refuses overflowing rates, no method beats
+    ``a_t`` then. Returns (v_e, method); the loop times the epoch.
     """
     # Called through this module's name, not the one locsim.simulator
     # imports, so calls of that name stay one per sample.
@@ -227,5 +221,4 @@ def begin_epoch(
     method = plan if plan is not None else select_method(cfg.methods, a_t, v_e)
     if method is None:
         method = min(cfg.methods, key=lambda m: (m.accuracy_m, m.name))
-        return v_e, method, cfg.t_min_refix_s
-    return v_e, method, (a_t - method.accuracy_m) / v_e * cfg.beta
+    return v_e, method

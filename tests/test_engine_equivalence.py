@@ -121,8 +121,8 @@ def refused(config):
     """The refusal rule, re-derived: a method the run uses beats a
     requirement in force before the horizon and its cost rate there is inf
     at v_e = 2 * v_max, above any EWMA the run can reach."""
-    pinned = config.pinned_method()
-    methods = config.strategy_cfg.methods if pinned is None else (pinned,)
+    kind = config.strategy_kind
+    methods = [m for m in config.strategy_cfg.methods if kind in ("adaptive", f"fixed:{m.name}")]
     v_hi = 2 * config.mobility.v_max
     return any(
         cost_rate(m, a_t, v_hi) == math.inf

@@ -496,6 +496,11 @@ class TestSweep:
         row = sweep(base, [0.5], [1.0], [1], ["adaptive"])[0]
         assert row == run(base, record_events=False)
 
+    def test_invalid_seed_is_refused_before_any_trace(self, monkeypatch):
+        monkeypatch.setattr(simulator, "generate_trace", no_trace)
+        with pytest.raises(ConfigError, match=r"seed=-5: seed must be an unsigned 64-bit"):
+            sweep(self.base(), [0.5], [0.1], [1, -5], ["adaptive"])
+
     def test_invalid_cell_reports_coordinates(self):
         with pytest.raises(ConfigError, match=r"kind=fixed:nope .*seed=2"):
             sweep(self.base(), [0.5], [1.0], [2], ["fixed:nope"])
@@ -579,6 +584,22 @@ class TestCsvRoundTrips:
     def test_events_csv_matches_field_by_field_formatting(self, rows):
         # Lines, not one string: pytest's diff of long strings is slow to shrink with.
         assert events_to_csv(rows).splitlines() == csv_by_field(rows).splitlines()
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 4, 10])
+    def test_events_file_written_in_blocks_is_the_one_csv(self, monkeypatch, tmp_path, n):
+        log = run(build_simulation_config({**DEFAULTS, "duration_s": 900, "beta": 0.1})).log[:n]
+        assert len(log) == n
+        calls = []
+
+        def counted(rows, _fn=events_to_csv):
+            calls.append(len(rows))
+            return _fn(rows)
+
+        monkeypatch.setattr(simulator, "CSV_BLOCK_ROWS", 3)
+        monkeypatch.setattr(simulator, "events_to_csv", counted)
+        simulator.write_events_csv(log, tmp_path / "ev.csv")
+        assert (tmp_path / "ev.csv").read_bytes() == events_to_csv(log).encode()
+        assert calls == [min(3, n - lo) for lo in range(0, max(n, 1), 3)]
 
     def test_summary_roundtrip(self):
         rows = [

@@ -11,7 +11,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from locsim.errors import ConfigError
@@ -20,7 +20,9 @@ from locsim.simulator import (
     EVENT_FIX,
     EVENT_SAMPLE,
     EVENT_SCHEDULE_CHANGE,
+    AccuracySchedule,
     SimulationConfig,
+    event_bounds,
     parse_schedule,
     run,
 )
@@ -306,11 +308,60 @@ class TestBeginEpoch:
 
     def test_overflowing_cost_rates_fall_back_to_refix_interval(self):
         # gps beats 10.5 m, but 1e308 mJ over 0.5 m of room overflows to inf.
-        # A run's preflight refuses this; called directly, the step falls back.
+        # A run's preflight refuses this; called directly, the step falls
+        # back to the most accurate method, here one with a positive room.
         gps = Method("gps", 10.0, 1e308)
         cfg = StrategyConfig(alpha=0.5, beta=0.3, methods=(gps,), t_min_refix_s=2.0)
         assert plan_method(cfg.methods, 10.5, 20.0) is None
-        assert begin_epoch(cfg, 10.5, 5.0, None, None) == (5.0, gps, 2.0)
+        assert select_method(cfg.methods, 10.5, 5.0) is None
+        assert begin_epoch(cfg, 10.5, 5.0, None, None) == (5.0, gps)
+
+    @given(data=st.data())
+    def test_in_a_run_the_fallback_is_exactly_the_room_le_0_regime(self, data):
+        # The loop re-fixes after t_min_refix_s when the room is <= 0 and
+        # samples otherwise, so for configs the preflight accepts,
+        # begin_epoch must fall back exactly when no method beats a_t.
+        # Accuracies sit on half-metres; requirements on whole metres (rooms
+        # of at least 0.5 m), on the accuracies (rooms of 0) or just above
+        # them, where an energy of 1e308 overflows the cost rate.
+        acc_st = st.integers(1, 200).map(lambda a: a + 0.5)
+        pairs = data.draw(st.lists(
+            st.tuples(acc_st, st.integers(1, 2000).map(float) | st.just(1e308)),
+            min_size=1, max_size=4,
+        ))
+        methods = tuple(Method(f"m{i}", acc, e) for i, (acc, e) in enumerate(pairs))
+        a_st = (
+            st.integers(1, 300).map(float)
+            | st.sampled_from([acc + d for acc, _ in pairs for d in (0.0, 1e-9, 0.5)])
+        )
+        starts = data.draw(st.lists(st.integers(1, 500), max_size=3, unique=True))
+        entries = tuple((float(s), data.draw(a_st)) for s in [0, *sorted(starts)])
+        v_min = float(data.draw(st.integers(1, 5)))
+        v_max = v_min + data.draw(st.sampled_from([0.0, 0.5, 9.0]))
+        duration = data.draw(st.integers(0, 400))
+        kind = data.draw(st.sampled_from(["adaptive", *(f"fixed:{m.name}" for m in methods)]))
+        config = SimulationConfig(
+            MobilityParams(duration_s=duration, t1_s=1, v_min=v_min, v_max=v_max, v0=v_min),
+            StrategyConfig(alpha=data.draw(st.floats(0.01, 1.0)), beta=0.5, methods=methods),
+            AccuracySchedule(entries),
+            kind,
+        )
+        try:
+            event_bounds(config)
+        except ConfigError:
+            assume(False)
+        cfg = config.loop_strategy
+        v_hi = 2.0 * v_max
+        for i, (start, a_t) in enumerate(entries):
+            if i > 0 and start >= duration:
+                break
+            plan = plan_method(cfg.methods, a_t, v_hi)
+            beats = any(m.accuracy_m < a_t for m in cfg.methods)
+            for v_e in (v_min, v_hi, data.draw(st.floats(v_min, v_hi))):
+                v = data.draw(st.floats(v_min, v_max))
+                folded, method = begin_epoch(cfg, a_t, v, v_e, plan)
+                fell_back = plan is None and select_method(cfg.methods, a_t, folded) is None
+                assert (method.accuracy_m < a_t) == beats == (not fell_back)
 
 
 class TestOnVelocitySample:

@@ -22,7 +22,6 @@ from locsim.mobility import generate_trace, positions_at, times_at_positions
 from locsim.simulator import (
     DEFAULT_FIGURE_BETAS,
     _event_loop,
-    _loop_strategy,
     _satisfaction_exact,
     figure_series,
     run,
@@ -134,7 +133,7 @@ def test_each_slice_equals_its_run_evaluated_alone(seed):
     for coords in product(("adaptive", "fixed:gps", "fixed:wifi"), (0.3, 0.5), (0.1, 0.35, 1.0)):
         cell = cell_config(base, *coords)
         _, _, times, rooms, _ = _event_loop(
-            _loop_strategy(cell), cell.schedule.entries, trace, False
+            cell.loop_strategy, cell.schedule.entries, trace, False
         )
         runs.append((np.array(times), np.array(rooms)))
     times, rooms = runs[0]
