@@ -72,6 +72,10 @@ def parse_float_list(text: str) -> list[float]:
         span = (stop - start) / step
         if not math.isfinite(span):
             raise ConfigError(f"range step count must be finite, got {text!r}")
+        if round(start, 10) != start or round(step, 10) != step:
+            raise ConfigError(
+                f"range {text!r} is finer than the 10 decimals its values are rounded to"
+            )
         count = int(span + 1e-9) + 1
         _check_range_count(count, text)
         return [round(start + i * step, 10) for i in range(count)]

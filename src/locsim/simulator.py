@@ -377,21 +377,25 @@ def _event_loop(
     energy, the sample count, each fix's time and room, and the event log,
     empty unless ``record_events``. The caller has run the preflight.
 
-    The scheduler is one loop over Python floats, one epoch per outer
-    iteration. Each fix opens an epoch with
+    The scheduler is three nested loops over Python floats, one per time
+    scale. The outer loop makes one pass per requirement span: it takes
+    the schedule entry in force with :func:`on_requirement_change`, plans
+    its method with :func:`~locsim.strategy.plan_method` and bounds the
+    span at the next change or the horizon. The middle loop makes one pass
+    per epoch. A fix at ``t`` opens it with
     :func:`~locsim.strategy.begin_epoch`, called once per fix, which folds
-    the velocity at the fix into the EWMA ``v_e`` and takes the method that
-    :func:`~locsim.strategy.plan_method` chose for the requirement in force,
-    or selects one at this ``v_e`` when there is no plan. The loop times
-    the epoch from the room (requirement minus method accuracy). A positive
-    room is sampled every ``wait = room / v_e * beta``. Each sample calls
-    :func:`~locsim.strategy.on_velocity_sample`, the one EWMA, once, and the
-    loop advances the distance estimate ``r_i`` by ``v_e * wait``; the
-    sample at which ``r_i`` reaches the room calls for a fix at that same
-    instant. A room <= 0, where no method beats the requirement, re-fixes
-    after ``t_min_refix_s`` instead. At each change of the requirement
-    :func:`on_requirement_change` moves to the next schedule entry, and the
-    method is planned again.
+    the velocity at the fix into the EWMA ``v_e`` and takes the planned
+    method, or selects one at this ``v_e`` when there is no plan. The epoch
+    is timed from the room (requirement minus method accuracy). The inner
+    loop samples a positive room every ``wait = room / v_e * beta``: each
+    sample calls :func:`~locsim.strategy.on_velocity_sample`, the one EWMA,
+    once and advances the distance estimate ``r_i`` by ``v_e * wait``, and
+    the sample at which ``r_i`` reaches the room calls for the next fix at
+    that same instant. A room <= 0, where no method beats the requirement,
+    re-fixes after ``t_min_refix_s`` instead. The span ends when its next
+    fix would fall at or after its bound; a change at the instant a fix
+    was due thus makes the one forced fix that opens the next span, and
+    nothing happens at or after the horizon.
 
     Each event is logged as a plain tuple in :class:`RunResult` log order,
     its position computed in the loop as ``cum[k] + (t - k) * v``: the float
@@ -419,78 +423,67 @@ def _event_loop(
     trigger: Optional[tuple] = None  # a sample calling for a fix is logged after that fix
 
     si = 0  # index of the schedule entry in force
-    a_t, change_t = on_requirement_change(entries, si)
-    plan = plan_method(cfg.methods, a_t, v_hi)
-    bound = min(change_t, duration)
     t = 0.0
     k = 0  # int(t), shared by the velocity lookup and the logged position
     v = vel[0]
     v_e: Optional[float] = None
-    while True:
-        # A fix at t; v is the velocity at t.
-        v_e, method = begin_epoch(cfg, a_t, v, v_e, plan)
-        room = a_t - method.accuracy_m
-        energy += method.energy_mJ
-        fix_times.append(t)
-        fix_rooms.append(room)
-        if record_events:
-            log.append((t, EVENT_FIX, method, method.energy_mJ, cum[k] + (t - k) * v, v, v_e))
-            if trigger is not None:
-                log.append(trigger)
-                trigger = None
+    while True:  # one pass per requirement span
+        a_t, change_t = on_requirement_change(entries, si)
+        plan = plan_method(cfg.methods, a_t, v_hi)
+        bound = min(change_t, duration)
+        while True:  # one pass per epoch
+            # A fix at t; v is the velocity at t.
+            v_e, method = begin_epoch(cfg, a_t, v, v_e, plan)
+            room = a_t - method.accuracy_m
+            energy += method.energy_mJ
+            fix_times.append(t)
+            fix_rooms.append(room)
+            if record_events:
+                log.append((t, EVENT_FIX, method, method.energy_mJ, cum[k] + (t - k) * v, v, v_e))
+                if trigger is not None:
+                    log.append(trigger)
+                    trigger = None
 
-        # Find the next event: a fix (fix_due), else a change or the horizon.
-        fix_due = False
-        if room > 0.0:
-            wait = room / v_e * beta
-            t_next = t + wait
-            limit = room * near
-            r_i = 0.0
-            n = 0  # samples taken in this epoch
-            while t_next < bound:
-                k = int(t_next)
-                v = vel[k]
-                v_e = on_velocity_sample(v_e, v, alpha)
-                r_i += v_e * wait
-                n += 1
-                if not r_i < limit:
-                    fix_due = True
+            if room > 0.0:
+                wait = room / v_e * beta
+                t_next = t + wait
+                limit = room * near
+                r_i = 0.0
+                n = 0  # samples taken in this epoch
+                while t_next < bound:
+                    k = int(t_next)
+                    v = vel[k]
+                    v_e = on_velocity_sample(v_e, v, alpha)
+                    r_i += v_e * wait
+                    n += 1
+                    if not r_i < limit:
+                        break
                     if record_events:
-                        trigger = (
-                            t_next, EVENT_SAMPLE, None, None, cum[k] + (t_next - k) * v, v, v_e
+                        log.append(
+                            (t_next, EVENT_SAMPLE, None, None, cum[k] + (t_next - k) * v, v, v_e)
                         )
+                    t_next = t + (n + 1) * wait
+                samples += n
+                if not t_next < bound:
                     break
                 if record_events:
-                    log.append(
-                        (t_next, EVENT_SAMPLE, None, None, cum[k] + (t_next - k) * v, v, v_e)
-                    )
-                t_next = t + (n + 1) * wait
-            samples += n
-        else:
-            t_next = t + t_min
-            if t_next < bound:
-                fix_due = True
+                    trigger = (t_next, EVENT_SAMPLE, None, None, cum[k] + (t_next - k) * v, v, v_e)
+            else:
+                t_next = t + t_min
+                if not t_next < bound:
+                    break
                 k = int(t_next)
                 v = vel[k]
-
-        if fix_due:
             t = t_next
-        elif change_t <= t_next and change_t < duration:
-            # A change due exactly when a fix was scheduled coalesces into
-            # this single forced fix.
-            t = change_t
-            k = int(t)
-            v = vel[k]
-            if record_events:
-                log.append(
-                    (t, EVENT_SCHEDULE_CHANGE, None, None, cum[k] + (t - k) * v, v, v_e)
-                )
-            si += 1
-            a_t, change_t = on_requirement_change(entries, si)
-            plan = plan_method(cfg.methods, a_t, v_hi)
-            bound = min(change_t, duration)
-        else:
+
+        if not change_t < duration:
             break
+        t = change_t
+        k = int(t)
+        v = vel[k]
+        if record_events:
+            log.append((t, EVENT_SCHEDULE_CHANGE, None, None, cum[k] + (t - k) * v, v, v_e))
+        si += 1
 
     return energy, samples, fix_times, fix_rooms, log
 
@@ -637,17 +630,18 @@ DEFAULT_FIGURE_SEEDS = tuple(range(1, 31))
 def figure_series(
     base: SimulationConfig,
     *,
-    betas: Sequence[float] = DEFAULT_FIGURE_BETAS,
     seeds: Sequence[int] = DEFAULT_FIGURE_SEEDS,
 ) -> dict[str, list[tuple[float, float, float]]]:
     """Build the four comparison tables: energy and satisfaction vs beta.
 
     fig2/fig3 compare mean energy / mean satisfaction of fixed:gps against
     the adaptive strategy at alpha=0.5; fig4/fig5 repeat this at alpha=0.3.
-    Rows are (beta, gps_value, ours_value). One :func:`sweep` over both
-    alphas runs them all, so each seed's trace is generated once.
+    Rows are (beta, gps_value, ours_value), one per beta of
+    :data:`DEFAULT_FIGURE_BETAS`. One :func:`sweep` over both alphas runs
+    them all, so each seed's trace is generated once.
     """
     alphas = {0.5: ("fig2", "fig3"), 0.3: ("fig4", "fig5")}
+    betas = DEFAULT_FIGURE_BETAS
     rows = sweep(base, list(alphas), betas, seeds, ["fixed:gps", "adaptive"])
     means = {(m.kind, m.alpha, m.beta): m for m in sweep_means(rows)}
     tables: dict[str, list[tuple[float, float, float]]] = {}

@@ -1,6 +1,7 @@
 """Command-line interface: argument parsing, exit codes, output formats."""
 
 import contextlib
+import hashlib
 import io
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locsim.cli import MAX_LIST_VALUES, main, parse_float_list, parse_seed_list
+from locsim.cli import FIGURE_NAMES, MAX_LIST_VALUES, main, parse_float_list, parse_seed_list
 from locsim.config import DEFAULTS, build_simulation_config
 from locsim.errors import ConfigError
 from locsim.mobility import MAX_DURATION_S
@@ -45,7 +46,15 @@ class TestListParsing:
         assert parse_float_list("0.3,0.5") == [0.3, 0.5]
 
     def test_bad_float_list(self):
-        for bad in ("", "a,b", "1:2", "1:2:3:4"):
+        for bad in (
+            "",
+            "a,b",
+            "1:2",
+            "1:2:3:4",
+            # Rounding to 10 decimals would collapse or shift these values.
+            "0.5:0.50000000003:0.00000000001",
+            "1e-12:2e-12:1e-13",
+        ):
             with pytest.raises(ConfigError):
                 parse_float_list(bad)
 
@@ -425,6 +434,23 @@ class TestReproduceFigures:
         assert [row.split()[0] for row in rows] == [f"{0.1 * i:.1f}" for i in range(1, 11)]
         assert "wrote " not in out
         assert err.count("wrote ") == 4
+
+    def test_default_figures_are_pinned_byte_for_byte(self, tmp_path, capsys):
+        # The sha256 of each output of the default paper ensemble (alphas 0.5
+        # and 0.3, betas 0.1..1.0, seeds 1..30, 3,600 s), as first recorded.
+        expected = {
+            "fig2.csv": "d19c64f917a7415a2fac3c2fd132c063a0c745daa7e8e8b869d2ff6755a15fb8",
+            "fig3.csv": "8f060dce8efa2e640c8c2aae61dd13c7c477d456632e92329a6786004097168d",
+            "fig4.csv": "8d0e627fa3fc92c2dbffc51813053b115b06d0c3335a65166acddcdb9053b337",
+            "fig5.csv": "5f71f3c0dd08193ed9235bf501efe14050a7d3d767689cb343c3de1f8448600a",
+            "stdout": "748a51de38ed792fc9f65bab4654d9b77c2399ea426c1ca153c4cdba296a5131",
+        }
+        out_dir = tmp_path / "figs"
+        code, out, _ = run_cli(capsys, "reproduce-figures", "--out", str(out_dir))
+        assert code == 0
+        outputs = {f"{name}.csv": (out_dir / f"{name}.csv").read_bytes() for name in FIGURE_NAMES}
+        outputs["stdout"] = out.encode()
+        assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == expected
 
 
 # (sane, extreme) values per config key for the fuzz below. Each drawn

@@ -187,11 +187,43 @@ class TestEventProtocol:
         assert [e.kind for e in at_600] == [EVENT_SCHEDULE_CHANGE, EVENT_FIX]
 
     def test_change_coinciding_with_due_fix_yields_single_fix(self, make_constant_config):
-        # Fixes land on multiples of 70; the change at 350 hits one exactly.
-        cfg = make_constant_config(requirement="0:500,350:420", duration=500)
-        result = run(cfg)
-        fixes_at_350 = [e for e in events(result) if e.kind == EVENT_FIX and e.time_s == 350.0]
-        assert len(fixes_at_350) == 1
+        fix, change, sample = EVENT_FIX, EVENT_SCHEDULE_CHANGE, EVENT_SAMPLE
+        # (schedule, duration, fix count, every row from the first listed on)
+        cases = [
+            # gsm's fixes land on multiples of 70; the change at 350 hits one exactly.
+            (
+                "0:500,350:420",
+                500,
+                8,
+                [
+                    (350.0, change, None),
+                    (350.0, fix, "gsm"),
+                    (404.0, fix, "gsm"),
+                    (404.0, sample, None),
+                    (458.0, fix, "gsm"),
+                    (458.0, sample, None),
+                ],
+            ),
+            # No method beats 5 m, so gps re-fixes every second; the re-fix
+            # due at 10 meets the change.
+            (
+                "0:5,10:500",
+                20,
+                11,
+                [(8.0, fix, "gps"), (9.0, fix, "gps"), (10.0, change, None), (10.0, fix, "gsm")],
+            ),
+            # A change at the horizon is no event; the fix due at 140 is past it.
+            ("0:500,100:300", 100, 2, [(70.0, fix, "gsm"), (70.0, sample, None)]),
+        ]
+        for requirement, duration, fix_count, tail in cases:
+            result = run(make_constant_config(requirement=requirement, duration=duration))
+            rows = [
+                (e.time_s, e.kind, e.method and e.method.name)
+                for e in events(result)
+                if e.time_s >= tail[0][0]
+            ]
+            assert rows == tail, requirement
+            assert result.fix_count == fix_count, requirement
 
     def test_triggering_sample_logged_after_its_fix(self, make_constant_config):
         result = run(make_constant_config(duration=100))
