@@ -11,9 +11,13 @@ consumed in ascending event-time order exactly as
 ``rng.integers(len(candidates))`` would: one 32-bit value per event with 2
 or 3 admissible accelerations, none for an event with only one (as when
 v_min == v_max), and one more for each value the bounded draw rejects
-(probability 2**-32 per event with 3 choices). Nothing else in the package
-draws random numbers, so traces (and everything computed from them) are
-bit-reproducible across runs and machines for a given seed.
+(probability 2**-32 per event with 3 choices). The walk draws the values
+in bulk, turns each into a small-int code that holds its index for both 2
+and 3 choices, and takes each event's next level from the current level's
+successor row, one lookup per event (see :func:`generate_trace`). Nothing
+else in the package draws random numbers, so traces (and everything
+computed from them) are bit-reproducible across runs and machines for a
+given seed.
 """
 
 from __future__ import annotations
@@ -101,7 +105,8 @@ class MotionTrace:
         expected = max(1, p.duration_s)
         if v.ndim != 1 or len(v) != expected:
             raise ConfigError(f"trace must hold {expected} per-second velocities, got {v.shape}")
-        if np.any(v < p.v_min) or np.any(v > p.v_max):
+        # Written so that a NaN, which fails every comparison, fails it too.
+        if not np.all((v >= p.v_min) & (v <= p.v_max)):
             raise ConfigError("trace velocity outside [v_min, v_max]")
         steps = np.diff(v)
         if np.any(np.abs(steps) > 1.0 + _STEP_SLACK):
@@ -130,49 +135,70 @@ def generate_trace(params: MobilityParams) -> MotionTrace:
     The draws reproduce ``rng.integers(k)`` over the k admissible
     accelerations of (-1, 0, +1): numpy maps a 32-bit value ``x`` to
     ``(x * k) >> 32`` (Lemire), and for k == 3 rejects ``x == 0`` and takes
-    the next value. The 32-bit values are drawn in bulk, one per remaining
-    event, and :func:`_step_tables` turns each draw into two int lists, the
-    index for k == 3 (-1 where ``x == 0``) and for k == 2; the walk indexes
-    them, skipping -1 at an event with three choices. When a list runs out,
-    at the start or after rejected values, the next bulk draw is again one
-    value per remaining event.
+    the next value. The walk draws one value per event in bulk and
+    :func:`_codes` turns each into a small int that holds both indices.
+    The first time the walk reaches a level it builds that level's
+    successor row (:func:`_successors`), the next level for each code, so
+    an event is one row lookup. A rejected value adds one more code to the
+    end of the list, drawn from the same stream; at a level where neither
+    step is allowed the walk stops and the level holds to the end.
     """
     rng = np.random.default_rng(params.seed)
     n = max(1, params.duration_s)
     t1 = params.t1_s
     events = len(range(t1, n, t1))
     v_min, v_max = params.v_min, params.v_max
-    cur = float(params.v0)
-    levels = [cur]
-    three: list[int] = []
-    two: list[int] = []
-    i = drawn = 0
-    for e in range(events):
-        down = cur - 1 >= v_min
-        up = cur + 1 <= v_max
-        if down or up:
-            while True:
-                if i == drawn:  # at the start, or after rejected values
-                    drawn = events - e
-                    three, two = _step_tables(rng, drawn)
-                    i = 0
-                s = three[i] if down and up else two[i]
-                i += 1
-                if s >= 0:
+    level = float(params.v0)
+    levels = [level]
+    row = _successors(level, v_min, v_max)
+    if row is not None:
+        rows = {level: row}
+        append, row_of = levels.append, rows.get
+        codes = _codes(rng, events)
+        for c in codes:
+            level = row[c]
+            if level is None:
+                # A rejected value: this event reads the next code, and
+                # one more is drawn onto the end so every event has one.
+                codes += _codes(rng, 1)
+                continue
+            append(level)
+            row = row_of(level)
+            if row is None:
+                row = rows[level] = _successors(level, v_min, v_max)
+                if row is None:
                     break
-            # Index s into (-1, 0, +1), (-1, 0) or (0, +1).
-            cur += s - 1 if down else s
-        levels.append(cur)
-    counts = [t1] * events + [n - events * t1]
+    counts = np.full(len(levels), t1)
+    counts[-1] = n - (len(levels) - 1) * t1
     return MotionTrace(params=params, velocities=np.repeat(np.array(levels), counts))
 
 
-def _step_tables(rng: np.random.Generator, size: int) -> tuple[list[int], list[int]]:
-    """Draw ``size`` 32-bit values ``x`` and map each to ``(x * 3) >> 32``,
-    or -1 where ``x == 0``, and to ``(x * 2) >> 32``, computed as ``x >> 31``."""
-    x = rng.integers(0, 2**32, dtype=np.uint32, size=size)
-    three = np.where(x == 0, -1, (x.astype(np.int64) * 3) >> 32)
-    return three.tolist(), (x >> 31).tolist()
+def _codes(rng: np.random.Generator, size: int) -> list[int]:
+    """Draw ``size`` 32-bit values ``x`` and map each to the code
+    ``3 * (x >> 31) + ((x * 3) >> 32)``, or 6 where ``x == 0``: the
+    indices ``x >> 31`` (= ``(x * 2) >> 32``) for two choices and
+    ``(x * 3) >> 32`` for three, with 6 for the value three rejects."""
+    x = rng.integers(0, 2**32, dtype=np.uint32, size=size).astype(np.int64)
+    return np.where(x == 0, 6, 3 * (x >> 31) + ((x * 3) >> 32)).tolist()
+
+
+def _successors(level: float, v_min: float, v_max: float) -> tuple[float | None, ...] | None:
+    """The next level after ``level`` for each code of :func:`_codes`, or
+    None when neither step keeps the velocity inside [v_min, v_max].
+
+    With both steps allowed the three-choice index picks from
+    (level - 1, level, level + 1) and code 6 maps to None (rejected); at
+    the top or the foot of the band the two-choice index picks from
+    (level - 1, level) or (level, level + 1).
+    """
+    down, up = level - 1, level + 1
+    if down >= v_min and up <= v_max:
+        return (down, level, up, down, level, up, None)
+    if down >= v_min:
+        return (down,) * 3 + (level,) * 3 + (down,)
+    if up <= v_max:
+        return (level,) * 3 + (up,) * 3 + (level,)
+    return None
 
 
 def positions_at(trace: MotionTrace, times: np.ndarray) -> np.ndarray:

@@ -5,7 +5,9 @@ against the frozen reference engine.
 was fused into one scalar loop. It is imported read-only (no bytecode is
 written next to it) and every result is compared with exact ``==``:
 energy, satisfaction, fix and sample counts, and on drawn configs the
-full event log and the event CSV bytes; traces are compared byte for byte.
+full event log and the event CSV bytes; traces are compared byte for byte,
+on seeded streams and on a served stream with zeros (values the bounded
+draw over three choices rejects) anywhere in it.
 The drawn configs also check that no run exceeds its ``event_bounds``,
 and that a config is refused exactly when a cost rate it could meet
 overflows, where refsim would report an infinite energy.
@@ -30,6 +32,7 @@ from locsim.strategy import cost_rate
 from _events import events
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REAL_DEFAULT_RNG = np.random.default_rng
 
 
 @pytest.fixture(scope="module")
@@ -343,6 +346,97 @@ def test_rejected_draw_matches_reference(refsim, monkeypatch, v0, duration):
     got, want = both_traces(refsim, values)
     assert got == want
     assert (got == unrigged) == (v0 == 5.0)
+
+
+class ServedStream:
+    """Stands in for ``np.random.default_rng(seed)`` and serves one fixed
+    list of 32-bit values to both call styles: locsim's bulk
+    ``integers(0, 2**32, dtype=np.uint32, size=m)`` and refsim's
+    ``integers(k)``, which follows numpy's 32-bit Lemire rule. So both
+    walks read the same values whatever their draw sizes."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def integers(self, low, high=None, dtype=np.int64, size=None):
+        if high is None:
+            return self.bounded(low)
+        assert (low, high, dtype) == (0, 2**32, np.uint32)
+        return np.array([next(self.values) for _ in range(size)], dtype=np.uint32)
+
+    def bounded(self, k):
+        # numpy takes no value for one choice, and otherwise rejects the
+        # values whose low word of x * k is below (2**32 - k) % k; for
+        # k = 3 that is x == 0 alone, for k = 2 none.
+        if k == 1:
+            return 0
+        while True:
+            m = next(self.values) * k
+            if m & 0xFFFFFFFF >= (2**32 - k) % k:
+                return m >> 32
+
+
+def served_values(values, zeros):
+    """The seed's own 32-bit stream, with 0 at each position in ``zeros``;
+    long enough for every event and every rejected value."""
+    events = len(range(values["t1_s"], max(1, values["duration_s"]), values["t1_s"]))
+    stream = REAL_DEFAULT_RNG(values["seed"]).integers(0, 2**32, dtype=np.uint32, size=events + 16)
+    stream = stream.tolist()
+    for i in zeros:
+        stream[i] = 0
+    return stream
+
+
+def test_served_stream_follows_numpy_bounded_draws():
+    for seed in range(20):
+        stream = REAL_DEFAULT_RNG(seed).integers(0, 2**32, dtype=np.uint32, size=100).tolist()
+        served, rng = ServedStream(stream), REAL_DEFAULT_RNG(seed)
+        for k in (3, 2, 1, 3, 3, 2) * 8:
+            assert served.bounded(k) == rng.integers(k)
+        assert served.integers(0, 2**32, dtype=np.uint32, size=5).tolist() == rng.integers(
+            0, 2**32, dtype=np.uint32, size=5
+        ).tolist()
+
+
+@st.composite
+def zeros_in_stream(draw):
+    """Mobility parameters, non-integer bands among them, and positions of
+    zeros in the 32-bit stream: anywhere, at the last event's value and
+    just past it, alone and in runs of up to three."""
+    duration = draw(st.sampled_from([0, 1, 2, 7]) | st.integers(0, 600))
+    t1 = draw(st.integers(1, 5) | st.just(duration + 1))
+    v_min = draw(st.integers(10, 50)) / 10
+    v_max = v_min + draw(st.sampled_from([0.0, 0.5, 1.0, 1.2]) | st.integers(0, 80).map(lambda k: k / 10))
+    values = {
+        "duration_s": duration,
+        "t1_s": t1,
+        "v_min": v_min,
+        "v_max": v_max,
+        "v0": draw(st.sampled_from([v_min, v_max]) | st.floats(v_min, v_max)),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+    }
+    events = len(range(t1, max(1, duration), t1))
+    position = st.sampled_from([max(events - 1, 0), events]) | st.integers(0, events)
+    runs = draw(st.lists(st.tuples(position, st.integers(1, 3)), max_size=3))
+    return values, sorted({p + j for p, length in runs for j in range(length)})
+
+
+@settings(max_examples=300)
+@given(case=zeros_in_stream())
+# The walk reaches 2.3, where neither step is allowed: 2.3 - 1 is
+# 1.2999999999999998 < 1.3 and 3.3 > 2.5, so the level holds to the end.
+@example(case=({"duration_s": 40, "t1_s": 1, "v_min": 1.3, "v_max": 2.5, "v0": 1.3, "seed": 0}, []))
+# Three zeros in a row from the last event's value on: the walk is at
+# 4 m/s there, inside the band, so the last event rejects all three and
+# takes the value after them, past the bulk draw.
+@example(case=({"duration_s": 40, "t1_s": 1, "v_min": 1.0, "v_max": 10.0, "v0": 5.0, "seed": 1}, [38, 39, 40]))
+def test_traces_match_reference_with_zeros_anywhere_in_the_stream(refsim, case):
+    values, zeros = case
+    stream = served_values(values, zeros)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.random, "default_rng", lambda seed: ServedStream(stream))
+        got, want = both_traces(refsim, values)
+    assert got == want
 
 
 @st.composite

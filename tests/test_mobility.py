@@ -149,8 +149,9 @@ class TestGenerateTrace:
 
 class TestMotionTraceValidation:
     def test_rejects_out_of_band_velocity(self):
-        with pytest.raises(ConfigError):
-            make_trace([1.0, 11.0])
+        for velocities in ([1.0, 11.0], [5.0, float("nan")]):
+            with pytest.raises(ConfigError, match=r"outside \[v_min, v_max\]"):
+                make_trace(velocities)
 
     def test_rejects_large_step(self):
         with pytest.raises(ConfigError):
