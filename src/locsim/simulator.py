@@ -226,8 +226,16 @@ def event_bounds(config: SimulationConfig) -> tuple[float, float]:
     requirement in the horizon but its cost rate overflows, or its seconds
     of room underflow, at v_e = 2 * v_max. The EWMA stays below that and
     float division rounds monotonically, so a run that passes has a finite
-    rate at every fix and falls back only where no method beats a_t.
+    rate at every fix: where a span has no plan, :func:`select_method
+    <locsim.strategy.select_method>` always finds a method.
     """
+    return _walk_schedule(config)[:2]
+
+
+def _walk_schedule(config: SimulationConfig) -> tuple[float, float, tuple[tuple, ...]]:
+    """:func:`event_bounds` and the span table of ``config``'s runs: one row
+    ``(a_t, change_t, bound, plan)`` per span under the horizon: the pair
+    :func:`on_requirement_change` returns, the span's end and its plan."""
     cfg = config.loop_strategy
     return _event_bounds(
         config.schedule.entries,
@@ -239,8 +247,8 @@ def event_bounds(config: SimulationConfig) -> tuple[float, float]:
     )
 
 
-# The bounds do not depend on the seed or alpha, so the runs of a sweep
-# share them; the cache keeps the preflight off each run's cost.
+# The walk does not depend on the seed or alpha: the cache shares one span
+# table among sweep cells that differ only in alpha, and across calls.
 @lru_cache(maxsize=64)
 def _event_bounds(
     entries: tuple[tuple[float, float], ...],
@@ -249,16 +257,16 @@ def _event_bounds(
     v_hi: float,
     beta: float,
     t_min: float,
-) -> tuple[float, float]:
+) -> tuple[float, float, tuple[tuple, ...]]:
     near = 1.0 - BUDGET_REL_TOL
-    ends = [start for start, _ in entries[1:]]
-    ends.append(math.inf)
     fixes = samples = 0.0
-    for (start, a_t), end in zip(entries, ends):
+    spans: list[tuple] = []
+    for i, (start, _) in enumerate(entries):
         if start >= duration and start > 0.0:
             break
-        end = min(end, duration)
-        span, ulp = end - start, math.ulp(end)
+        a_t, change_t = on_requirement_change(entries, i)
+        bound = min(change_t, duration)
+        span, ulp = bound - start, math.ulp(bound)
         rho = math.inf
         for m in methods:
             room = a_t - m.accuracy_m
@@ -277,14 +285,17 @@ def _event_bounds(
             span_samples += _steps(span, rho * beta / v_hi, ulp)
         fixes += span_fixes
         samples += span_fixes + span_samples
-    return fixes, samples
+        spans.append((a_t, change_t, bound, plan_method(methods, a_t, v_hi)))
+    return fixes, samples, tuple(spans)
 
 
-def _allowed_events(config: SimulationConfig, record_events: bool = False) -> float:
-    """The sum of ``config``'s :func:`event_bounds`; :class:`ConfigError`
-    when it is infinite or above :data:`MAX_EVENTS`, or, for a run that
-    records its event log, above :data:`MAX_LOGGED_EVENTS`."""
-    most = sum(event_bounds(config))
+def _allowed_events(config: SimulationConfig, record_events: bool = False) -> tuple[float, tuple]:
+    """The sum of ``config``'s :func:`event_bounds` and its runs' span table
+    (:func:`_walk_schedule`); :class:`ConfigError` when the sum is infinite
+    or above :data:`MAX_EVENTS`, or, for a run that records its event log,
+    above :data:`MAX_LOGGED_EVENTS`."""
+    fixes, samples, spans = _walk_schedule(config)
+    most = fixes + samples
     if most > MAX_EVENTS:
         why = (
             "an epoch or re-fix period is too short to advance the event time"
@@ -300,7 +311,7 @@ def _allowed_events(config: SimulationConfig, record_events: bool = False) -> fl
             f"the config allows up to {most:.3g} fixes and samples in one run, more than the "
             f"{MAX_LOGGED_EVENTS:.0e} an event log may hold; drop --out, or raise beta or the rooms"
         )
-    return most
+    return most, spans
 
 
 def run(
@@ -320,36 +331,35 @@ def run(
     Then a run is the one-cell case of :func:`_runs_on_trace`, the step
     :func:`sweep` takes for each seed.
     """
-    _allowed_events(config, record_events)
+    _, spans = _allowed_events(config, record_events)
     if trace is None:
         trace = generate_trace(config.mobility)
     elif trace.params != config.mobility:
         raise ConfigError("supplied trace was generated from different mobility parameters")
-    cells = [(config.strategy_kind, config.loop_strategy)]
-    (result,) = _runs_on_trace(cells, config.schedule.entries, trace, record_events)
+    cells = [(config.strategy_kind, config.loop_strategy, spans)]
+    (result,) = _runs_on_trace(cells, trace, record_events)
     return result
 
 
 def _runs_on_trace(
-    cells: Sequence[tuple[str, StrategyConfig]],
-    entries: tuple[tuple[float, float], ...],
+    cells: Sequence[tuple[str, StrategyConfig, tuple[tuple, ...]]],
     trace: MotionTrace,
     record_events: bool,
 ) -> list[RunResult]:
-    """One result row per (kind, loop strategy) cell, all over ``trace``.
+    """One result row per (kind, loop strategy, span table) cell, all over ``trace``.
 
-    Each cell's strategy holds the methods its kind uses. :func:`_event_loop`
-    runs once per cell and one :func:`_satisfaction_exact` call evaluates
-    all the runs; the rows take their seed from the trace. The caller has
-    run the preflight.
+    Each cell's strategy holds the methods its kind uses; its span table
+    comes from the preflight. :func:`_event_loop` runs once per cell and one
+    :func:`_satisfaction_exact` call evaluates all the runs; the rows take
+    their seed from the trace.
     """
     # The fixes of all the runs, kept as doubles: as lists of Python
     # floats they would take about four times the memory.
     starts, rooms = array("d"), array("d")
     lengths: list[int] = []
     loops: list[tuple[float, int, tuple]] = []
-    for _, cfg in cells:
-        energy, samples, fix_times, fix_rooms, log = _event_loop(cfg, entries, trace, record_events)
+    for _, cfg, spans in cells:
+        energy, samples, fix_times, fix_rooms, log = _event_loop(cfg, spans, trace, record_events)
         starts.fromlist(fix_times)
         rooms.fromlist(fix_rooms)
         lengths.append(len(fix_times))
@@ -358,7 +368,7 @@ def _runs_on_trace(
     seed = trace.params.seed
     return [
         RunResult(kind, cfg.alpha, cfg.beta, seed, energy, sat, fixes, samples, log)
-        for (kind, cfg), (energy, samples, log), sat, fixes in zip(
+        for (kind, cfg, _), (energy, samples, log), sat, fixes in zip(
             cells, loops, satisfaction, lengths
         )
     ]
@@ -366,22 +376,22 @@ def _runs_on_trace(
 
 def _event_loop(
     cfg: StrategyConfig,
-    entries: tuple[tuple[float, float], ...],
+    spans: tuple[tuple, ...],
     trace: MotionTrace,
     record_events: bool,
 ) -> tuple[float, int, list[float], list[float], list[tuple]]:
-    """Schedule fixes and samples over ``trace`` under the schedule ``entries``.
+    """Schedule fixes and samples over ``trace``, span by span of ``spans``.
 
-    ``cfg`` holds the methods the run may use (one, for a pinned kind).
-    Returns (energy, samples, fix_times, fix_rooms, log): the total fix
-    energy, the sample count, each fix's time and room, and the event log,
-    empty unless ``record_events``. The caller has run the preflight.
+    ``cfg`` holds the methods the run may use (one, for a pinned kind), and
+    ``spans`` is the config's :func:`_walk_schedule` table. Returns (energy,
+    samples, fix_times, fix_rooms, log): the total fix energy, the sample
+    count, each fix's time and room, and the event log, empty unless
+    ``record_events``.
 
     The scheduler is three nested loops over Python floats, one per time
-    scale. The outer loop makes one pass per requirement span: it takes
-    the schedule entry in force with :func:`on_requirement_change`, plans
-    its method with :func:`~locsim.strategy.plan_method` and bounds the
-    span at the next change or the horizon. The middle loop makes one pass
+    scale. The outer loop makes one pass per row ``(a_t, change_t, bound,
+    plan)`` of the span table: the requirement in force, the next change,
+    the span's end and its planned method. The middle loop makes one pass
     per epoch. A fix at ``t`` opens it with
     :func:`~locsim.strategy.begin_epoch`, called once per fix, which folds
     the velocity at the fix into the EWMA ``v_e`` and takes the planned
@@ -411,9 +421,6 @@ def _event_loop(
     cum = trace.cumulative_m.tolist() if record_events else None
     alpha, beta, t_min = cfg.alpha, cfg.beta, cfg.t_min_refix_s
     near = 1.0 - BUDGET_REL_TOL
-    # The EWMA of velocities in [v_min, v_max] stays there up to rounding,
-    # so twice v_max bounds it with room to spare.
-    v_hi = 2.0 * trace.params.v_max
 
     log: list[tuple] = []
     fix_times: list[float] = []
@@ -422,15 +429,11 @@ def _event_loop(
     samples = 0
     trigger: Optional[tuple] = None  # a sample calling for a fix is logged after that fix
 
-    si = 0  # index of the schedule entry in force
     t = 0.0
     k = 0  # int(t), shared by the velocity lookup and the logged position
     v = vel[0]
     v_e: Optional[float] = None
-    while True:  # one pass per requirement span
-        a_t, change_t = on_requirement_change(entries, si)
-        plan = plan_method(cfg.methods, a_t, v_hi)
-        bound = min(change_t, duration)
+    for a_t, change_t, bound, plan in spans:  # one pass per requirement span
         while True:  # one pass per epoch
             # A fix at t; v is the velocity at t.
             v_e, method = begin_epoch(cfg, a_t, v, v_e, plan)
@@ -476,14 +479,12 @@ def _event_loop(
                 v = vel[k]
             t = t_next
 
-        if not change_t < duration:
-            break
-        t = change_t
-        k = int(t)
-        v = vel[k]
-        if record_events:
-            log.append((t, EVENT_SCHEDULE_CHANGE, None, None, cum[k] + (t - k) * v, v, v_e))
-        si += 1
+        if change_t < duration:
+            t = change_t
+            k = int(t)
+            v = vel[k]
+            if record_events:
+                log.append((t, EVENT_SCHEDULE_CHANGE, None, None, cum[k] + (t - k) * v, v, v_e))
 
     return energy, samples, fix_times, fix_rooms, log
 
@@ -573,13 +574,14 @@ def sweep(
             seed_params[seed] = replace(base.mobility, seed=seed)
         except ConfigError as exc:
             raise ConfigError(f"sweep seed={seed}: {exc}") from exc
-    cells: list[tuple[str, StrategyConfig]] = []
+    cells: list[tuple[str, StrategyConfig, tuple[tuple, ...]]] = []
     most = 0.0
     for kind, alpha, beta in product(kinds, alphas, betas):
         try:
             strategy_cfg = replace(base.strategy_cfg, alpha=alpha, beta=beta)
             cfg = replace(base, strategy_cfg=strategy_cfg, strategy_kind=kind)
-            most += max(_allowed_events(cfg), RUN_EVENTS_FLOOR) * len(seeds)
+            allowed, spans = _allowed_events(cfg)
+            most += max(allowed, RUN_EVENTS_FLOOR) * len(seeds)
         except ConfigError as exc:
             raise ConfigError(
                 f"sweep cell kind={kind} alpha={alpha} beta={beta} seed={seeds[0]}: {exc}"
@@ -592,10 +594,9 @@ def sweep(
                 f"more than {MAX_EVENTS:.0e} fixes and samples, each run counted as at least "
                 f"{RUN_EVENTS_FLOOR}; shrink the grid or the duration"
             )
-        cells.append((kind, cfg.loop_strategy))
-    entries = base.schedule.entries
+        cells.append((kind, cfg.loop_strategy, spans))
     by_seed = {
-        seed: _runs_on_trace(cells, entries, generate_trace(params), False)
+        seed: _runs_on_trace(cells, generate_trace(params), False)
         for seed, params in seed_params.items()
     }
     return [by_seed[seed][i] for i in range(len(cells)) for seed in seeds]

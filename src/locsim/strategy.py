@@ -11,9 +11,10 @@ interval ``t_s`` is frozen when the epoch begins; velocity is re-sampled
 every ``t_s * beta`` seconds and each sample advances the distance
 estimate by ``v_e * t_s * beta``. The event loop that does this, and times
 each epoch, is ``locsim.simulator._event_loop``; this module holds what it
-is configured with and the steps it calls: :func:`plan_method` when a
-requirement comes into force, :func:`begin_epoch`, which takes the method,
-once per fix and :func:`on_velocity_sample`, the one EWMA, once per sample.
+is configured with and the steps it calls: :func:`plan_method`, once per
+requirement span of a config, :func:`begin_epoch`, which takes the plan or
+selects a method, once per fix and :func:`on_velocity_sample`, the one EWMA,
+once per sample.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ def select_method(methods: Sequence[Method], a_t: float, v_e: float) -> Optional
     """Pick the eligible method with the lowest cost rate.
 
     Ties break on smaller accuracy_m, then lexicographic name. Returns
-    None when no rate is finite (:func:`begin_epoch` then falls back). The
+    None when no rate is finite (in a run, the plan covers those spans). The
     choice is independent of v_e > 0, up to rounding.
     """
     best: Optional[Method] = None
@@ -175,16 +176,16 @@ def select_method(methods: Sequence[Method], a_t: float, v_e: float) -> Optional
 
 def plan_method(methods: Sequence[Method], a_t: float, v_hi: float) -> Optional[Method]:
     """The method :func:`select_method` picks under ``a_t`` at every v_e in
-    [1, v_hi], or None when that cannot be proven.
+    [1, v_hi]; the fallback, the most accurate method (ties broken by name),
+    when no method beats ``a_t``; or None when the pick cannot be proven.
 
     Each rate ``e / ((a_t - accuracy_m) / v_e)`` is within a factor of about
     1 +- 4 * 2**-53 of ``q * v_e``, with ``q = e / (a_t - accuracy_m)``, as
     long as no step leaves the normal float range. So the method with the
     smallest q wins at every v_e when its q is below every other eligible q
-    by :data:`PLAN_REL_GAP`. Returns None when no method is eligible, on
-    ties and near-ties (decided per fix by accuracy and name), and when a
-    room or rate could underflow or overflow for some v_e in range (decided
-    per fix by :func:`select_method`).
+    by :data:`PLAN_REL_GAP`. Returns None on ties and near-ties (decided per
+    fix by accuracy and name), and when a room or rate could underflow or
+    overflow for some v_e in range (decided per fix by :func:`select_method`).
     """
     best: Optional[Method] = None
     best_q = second_q = math.inf
@@ -199,9 +200,9 @@ def plan_method(methods: Sequence[Method], a_t: float, v_hi: float) -> Optional[
             best, best_q, second_q = m, q, best_q
         elif q < second_q:
             second_q = q
-    if best is None or not best_q < second_q * (1.0 - PLAN_REL_GAP):
-        return None
-    return best
+    if best is None:
+        return min(methods, key=lambda m: (m.accuracy_m, m.name))
+    return best if best_q < second_q * (1.0 - PLAN_REL_GAP) else None
 
 
 def begin_epoch(
@@ -210,15 +211,12 @@ def begin_epoch(
     """Open the epoch that starts at a fix under requirement ``a_t``: fold
     the fix-time velocity ``v`` into the EWMA ``v_e`` (None before the first
     fix, which sets it to ``v``) and take the method, ``plan`` or, when that
-    is None, the :func:`select_method` choice at this ``v_e``. When that
-    finds none, the most accurate method (ties broken by name) is used; in
-    a run, whose preflight refuses overflowing rates, no method beats
-    ``a_t`` then. Returns (v_e, method); the loop times the epoch.
+    is None, the :func:`select_method` choice at this ``v_e``, which in a run
+    always finds one: a plan is None only where some method beats ``a_t``,
+    and the preflight refuses rates that are not finite. Returns (v_e,
+    method); the loop times the epoch.
     """
     # Called through this module's name, not the one locsim.simulator
     # imports, so calls of that name stay one per sample.
     v_e = v if v_e is None else on_velocity_sample(v_e, v, cfg.alpha)
-    method = plan if plan is not None else select_method(cfg.methods, a_t, v_e)
-    if method is None:
-        method = min(cfg.methods, key=lambda m: (m.accuracy_m, m.name))
-    return v_e, method
+    return v_e, plan if plan is not None else select_method(cfg.methods, a_t, v_e)

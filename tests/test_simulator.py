@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import locsim.simulator as simulator
+import locsim.strategy as strategy
 from locsim.config import DEFAULT_SCHEDULE_TEXT, DEFAULTS, build_simulation_config
 from locsim.errors import ConfigError
 from locsim.mobility import (
@@ -258,7 +259,9 @@ class TestEventProtocol:
 class TestStepCallContract:
     """``run`` calls ``begin_epoch`` once per fix and ``on_velocity_sample``
     once per sample, through the names ``locsim.simulator`` imports; the
-    per-layer benchmark counts fixes and samples by wrapping those names."""
+    per-layer benchmark counts fixes and samples by wrapping those names.
+    Where every span has a plan, including the fallback, ``select_method``
+    is never called."""
 
     @pytest.mark.parametrize(
         "schedule, record_events",
@@ -266,15 +269,16 @@ class TestStepCallContract:
         ids=["adaptive", "fallback", "no-events"],
     )
     def test_one_call_per_fix_and_per_sample(self, monkeypatch, schedule, record_events):
-        calls = {"begin_epoch": 0, "on_velocity_sample": 0}
+        calls = {"begin_epoch": 0, "on_velocity_sample": 0, "select_method": 0}
         for name in calls:
-            fn = getattr(simulator, name)
+            module = strategy if name == "select_method" else simulator
+            fn = getattr(module, name)
 
             def counted(*args, _fn=fn, _name=name):
                 calls[_name] += 1
                 return _fn(*args)
 
-            monkeypatch.setattr(simulator, name, counted)
+            monkeypatch.setattr(module, name, counted)
         cfg = build_simulation_config({**DEFAULTS, "schedule": schedule})
         result = run(cfg, record_events=record_events)
         if schedule == "0:5":
@@ -285,6 +289,7 @@ class TestStepCallContract:
         assert calls == {
             "begin_epoch": result.fix_count,
             "on_velocity_sample": result.sample_count,
+            "select_method": 0,
         }
 
 
@@ -367,7 +372,7 @@ class TestEventBounds:
         monkeypatch.setattr(simulator, "generate_trace", no_trace)
         cfg = build_simulation_config({**DEFAULTS, "duration_s": 1_000_000, "beta": 0.01})
         # About 5.1e7 events: allowed without a log, too many to keep one.
-        assert MAX_LOGGED_EVENTS < simulator._allowed_events(cfg) < MAX_EVENTS
+        assert MAX_LOGGED_EVENTS < simulator._allowed_events(cfg)[0] < MAX_EVENTS
         with pytest.raises(ConfigError, match="an event log may hold; drop --out"):
             run(cfg)
 
@@ -376,7 +381,7 @@ class TestEventBounds:
         cfg = build_simulation_config(
             {**DEFAULTS, "duration_s": MAX_DURATION_S, "beta": 0.1, "strategy": kind}
         )
-        assert simulator._allowed_events(cfg, record_events=True) <= MAX_LOGGED_EVENTS
+        assert simulator._allowed_events(cfg, record_events=True)[0] <= MAX_LOGGED_EVENTS
 
     def test_rounding_that_could_stall_time_is_refused(self):
         # At t = 1e5 the float spacing is about 1.5e-11 s, so re-fixing every

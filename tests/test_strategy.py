@@ -22,7 +22,7 @@ from locsim.simulator import (
     EVENT_SCHEDULE_CHANGE,
     AccuracySchedule,
     SimulationConfig,
-    event_bounds,
+    _walk_schedule,
     parse_schedule,
     run,
 )
@@ -234,9 +234,14 @@ class TestPlanMethod:
         near, far = Method("near", 10.0, 90.0), Method("far", 60.0, 40.0)
         assert plan_method((far, near), 100.0, 20.0) is None
 
-    def test_none_when_nothing_eligible(self):
-        assert plan_method(DEFAULT_METHODS, 10.0, 20.0) is None
-        assert plan_method(DEFAULT_METHODS, 5.0, 20.0) is None
+    def test_most_accurate_when_nothing_eligible(self):
+        # No method beats a_t: the plan is the fallback, whose room is <= 0.
+        assert plan_method(DEFAULT_METHODS, 10.0, 20.0) is GPS
+        assert plan_method(DEFAULT_METHODS, 5.0, 20.0) is GPS
+        # Accuracy decides before the name, and the name breaks a tie on it.
+        a, b, c = Method("a", 10.0, 900.0), Method("b", 10.0, 1.0), Method("0", 20.0, 1.0)
+        for methods in ((a, b, c), (c, b, a)):
+            assert plan_method(methods, 5.0, 20.0) is a
 
     def test_relative_gap_decides(self):
         # a: 100 mJ over 100 m of room; b's energy per metre is 1 + rel.
@@ -246,17 +251,19 @@ class TestPlanMethod:
 
     def test_matches_brute_force_on_random_instances(self):
         rng = random.Random(6)
-        planned = 0
+        planned = fallbacks = 0
         for _ in range(2000):
             methods, a_t, _ = random_instance(rng)
             v_hi = rng.uniform(1.0, 40.0)
             plan = plan_method(methods, a_t, v_hi)
-            if plan is None:
-                continue
-            planned += 1
-            for v_e in (1.0, v_hi, rng.uniform(1.0, v_hi)):
-                assert brute_force_select(methods, a_t, v_e) is plan
-        assert planned > 1000
+            if brute_force_select(methods, a_t, v_hi) is None:
+                fallbacks += 1
+                assert plan is min(methods, key=lambda m: (m.accuracy_m, m.name))
+            elif plan is not None:
+                planned += 1
+                for v_e in (1.0, v_hi, rng.uniform(1.0, v_hi)):
+                    assert brute_force_select(methods, a_t, v_e) is plan
+        assert planned > 1000 and fallbacks > 100
 
 
 def step_trace_run(velocities, schedule="0:500", alpha=0.5, beta=1.0):
@@ -306,21 +313,20 @@ class TestBeginEpoch:
         assert all(e.method is GPS for e in late)
         assert result.sample_count == 0
 
-    def test_overflowing_cost_rates_fall_back_to_refix_interval(self):
-        # gps beats 10.5 m, but 1e308 mJ over 0.5 m of room overflows to inf.
-        # A run's preflight refuses this; called directly, the step falls
-        # back to the most accurate method, here one with a positive room.
+    def test_overflowing_cost_rates_get_no_plan_and_no_selection(self):
+        # gps beats 10.5 m, but 1e308 mJ over 0.5 m of room overflows to inf,
+        # so neither step chooses a method. A run never asks: its preflight
+        # refuses the config (test_overflowing_cost_rates_match_reference).
         gps = Method("gps", 10.0, 1e308)
-        cfg = StrategyConfig(alpha=0.5, beta=0.3, methods=(gps,), t_min_refix_s=2.0)
-        assert plan_method(cfg.methods, 10.5, 20.0) is None
-        assert select_method(cfg.methods, 10.5, 5.0) is None
-        assert begin_epoch(cfg, 10.5, 5.0, None, None) == (5.0, gps)
+        assert plan_method((gps,), 10.5, 20.0) is None
+        assert select_method((gps,), 10.5, 5.0) is None
 
     @given(data=st.data())
     def test_in_a_run_the_fallback_is_exactly_the_room_le_0_regime(self, data):
         # The loop re-fixes after t_min_refix_s when the room is <= 0 and
-        # samples otherwise, so for configs the preflight accepts,
-        # begin_epoch must fall back exactly when no method beats a_t.
+        # samples otherwise, so for configs the preflight accepts, each span
+        # of the table must open its epochs with a method that beats a_t
+        # exactly when one exists, and never with None.
         # Accuracies sit on half-metres; requirements on whole metres (rooms
         # of at least 0.5 m), on the accuracies (rooms of 0) or just above
         # them, where an energy of 1e308 overflows the cost rate.
@@ -347,21 +353,19 @@ class TestBeginEpoch:
             kind,
         )
         try:
-            event_bounds(config)
+            _, _, spans = _walk_schedule(config)
         except ConfigError:
             assume(False)
+        in_force = [a_t for i, (start, a_t) in enumerate(entries) if i == 0 or start < duration]
+        assert [a_t for a_t, _, _, _ in spans] == in_force
         cfg = config.loop_strategy
         v_hi = 2.0 * v_max
-        for i, (start, a_t) in enumerate(entries):
-            if i > 0 and start >= duration:
-                break
-            plan = plan_method(cfg.methods, a_t, v_hi)
+        for a_t, _, _, plan in spans:
             beats = any(m.accuracy_m < a_t for m in cfg.methods)
             for v_e in (v_min, v_hi, data.draw(st.floats(v_min, v_hi))):
                 v = data.draw(st.floats(v_min, v_max))
-                folded, method = begin_epoch(cfg, a_t, v, v_e, plan)
-                fell_back = plan is None and select_method(cfg.methods, a_t, folded) is None
-                assert (method.accuracy_m < a_t) == beats == (not fell_back)
+                _, method = begin_epoch(cfg, a_t, v, v_e, plan)
+                assert method is not None and (method.accuracy_m < a_t) == beats
 
 
 class TestOnVelocitySample:
