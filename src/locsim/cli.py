@@ -3,9 +3,8 @@
 Commands:
   simulate           one run; summary CSV line on stdout, optional event CSV
   sweep              alpha/beta/seed/kind grid; summary CSV plus *_mean.csv
-  reproduce-figures  the four strategy-comparison tables (energy and
-                     satisfaction vs beta at alpha 0.5 and 0.3, seeds 1-30)
-                     as CSVs, plus a per-beta digest of them on stdout
+  reproduce-figures  the paper's figures 2-5 (``FIGURES``) as CSVs, plus a
+                     per-beta digest of them on stdout
 
 Exit codes: 0 success, 2 configuration error, 1 runtime or I/O error.
 The effective configuration is echoed to stderr before any work runs.
@@ -28,7 +27,6 @@ from .config import (
 )
 from .errors import ConfigError
 from .simulator import (
-    figure_series,
     run,
     summary_to_csv,
     sweep,
@@ -38,10 +36,20 @@ from .simulator import (
     write_summary_csv,
 )
 
-__all__ = ["main", "build_parser", "write_figures"]
+__all__ = ["main", "build_parser"]
 
-FIGURE_CSV_HEADER = "beta,gps_value,ours_value"
-FIGURE_NAMES = ("fig2", "fig3", "fig4", "fig5")
+# The paper's figures 2-5, one (name, alpha, SweepMean field) row each. A
+# figure's CSV has one row per beta: the field's mean over FIGURE_SEEDS at
+# that alpha and beta for each of FIGURE_KINDS. One sweep runs them all.
+FIGURES = (
+    ("fig2", 0.5, "total_energy_mJ"),
+    ("fig3", 0.5, "satisfaction"),
+    ("fig4", 0.3, "total_energy_mJ"),
+    ("fig5", 0.3, "satisfaction"),
+)
+FIGURE_BETAS = tuple(round(0.1 * i, 10) for i in range(1, 11))
+FIGURE_SEEDS = range(1, 31)
+FIGURE_KINDS = ("fixed:gps", "adaptive")  # the gps_value and ours_value columns
 # Ranges are counted before they are built, so a long one is refused
 # instead of filling memory; the paper's grids need tens of values.
 MAX_LIST_VALUES = 100_000
@@ -152,39 +160,31 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def write_figures(tables: dict[str, list[tuple[float, float, float]]], out_dir) -> list[Path]:
-    """Write the fig2..fig5 tables of :func:`figure_series` as CSVs in ``out_dir``.
-
-    Creates ``out_dir`` if needed and returns the paths written, in order.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for name in FIGURE_NAMES:
-        path = out_dir / f"{name}.csv"
-        lines = [FIGURE_CSV_HEADER]
-        lines.extend(
-            f"{beta:.6f},{gps_value:.6f},{ours_value:.6f}"
-            for beta, gps_value, ours_value in tables[name]
-        )
-        path.write_text("\n".join(lines) + "\n", newline="")
-        paths.append(path)
-    return paths
-
-
 def cmd_reproduce_figures(args: argparse.Namespace) -> int:
-    values = _resolved(args)
-    base = build_simulation_config(values)
-    tables = figure_series(base)
-    for path in write_figures(tables, args.out):
+    base = build_simulation_config(_resolved(args))
+    alphas = list(dict.fromkeys(alpha for _, alpha, _ in FIGURES))
+    rows = sweep(base, alphas, FIGURE_BETAS, FIGURE_SEEDS, FIGURE_KINDS)
+    means = {(m.kind, m.alpha, m.beta): m for m in sweep_means(rows)}
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    by_field: dict[str, list[list[tuple]]] = {}  # per figure of a field, (gps, ours) per beta
+    for name, alpha, field in FIGURES:
+        pairs = [
+            tuple(getattr(means[kind, alpha, b], field) for kind in FIGURE_KINDS)
+            for b in FIGURE_BETAS
+        ]
+        by_field.setdefault(field, []).append(pairs)
+        text = "".join(f"{b:.6f},{g:.6f},{o:.6f}\n" for b, (g, o) in zip(FIGURE_BETAS, pairs))
+        path = out_dir / f"{name}.csv"
+        path.write_text("beta,gps_value,ours_value\n" + text, newline="")
         sys.stderr.write(f"wrote {path}\n")
+    # Per beta: the energy ratios ours/gps, then the satisfaction
+    # differences ours-gps, each in the alpha order of FIGURES.
+    columns = zip(FIGURE_BETAS, *by_field["total_energy_mJ"], *by_field["satisfaction"])
     lines = ["beta   energy ours/gps (a=.5, a=.3)   satisfaction ours-gps (a=.5, a=.3)"]
-    for (beta, gps_e, ours_e), (_, g3, o3), (_, g4, o4), (_, g5, o5) in zip(
-        tables["fig2"], tables["fig3"], tables["fig4"], tables["fig5"]
-    ):
+    for beta, (g1, o1), (g2, o2), (g3, o3), (g4, o4) in columns:
         lines.append(
-            f"{beta:4.1f}   {ours_e / gps_e:11.3f} {o4 / g4:6.3f}   "
-            f"{o3 - g3:+17.4f} {o5 - g5:+7.4f}"
+            f"{beta:4.1f}   {o1 / g1:11.3f} {o2 / g2:6.3f}   {o3 - g3:+17.4f} {o4 - g4:+7.4f}"
         )
     sys.stdout.write("\n".join(lines) + "\n")
     return 0

@@ -60,7 +60,6 @@ __all__ = [
     "SweepMean",
     "sweep",
     "sweep_means",
-    "figure_series",
     "SUMMARY_CSV_HEADER",
     "MEAN_CSV_HEADER",
     "EVENT_CSV_HEADER",
@@ -233,9 +232,9 @@ def event_bounds(config: SimulationConfig) -> tuple[float, float]:
 
 
 def _walk_schedule(config: SimulationConfig) -> tuple[float, float, tuple[tuple, ...]]:
-    """:func:`event_bounds` and the span table of ``config``'s runs: one row
-    ``(a_t, change_t, bound, plan)`` per span under the horizon: the pair
-    :func:`on_requirement_change` returns, the span's end and its plan."""
+    """:func:`event_bounds` and the span table of ``config``'s runs, one row
+    ``(a_t, bound, plan)`` per span under the horizon: the requirement in
+    force, the span's end (the next change or the horizon) and its plan."""
     cfg = config.loop_strategy
     return _event_bounds(
         config.schedule.entries,
@@ -285,7 +284,7 @@ def _event_bounds(
             span_samples += _steps(span, rho * beta / v_hi, ulp)
         fixes += span_fixes
         samples += span_fixes + span_samples
-        spans.append((a_t, change_t, bound, plan_method(methods, a_t, v_hi)))
+        spans.append((a_t, bound, plan_method(methods, a_t, v_hi)))
     return fixes, samples, tuple(spans)
 
 
@@ -389,9 +388,9 @@ def _event_loop(
     ``record_events``.
 
     The scheduler is three nested loops over Python floats, one per time
-    scale. The outer loop makes one pass per row ``(a_t, change_t, bound,
-    plan)`` of the span table: the requirement in force, the next change,
-    the span's end and its planned method. The middle loop makes one pass
+    scale. The outer loop makes one pass per row ``(a_t, bound, plan)`` of
+    the span table: the requirement in force, the span's end (a change, or
+    the horizon) and its planned method. The middle loop makes one pass
     per epoch. A fix at ``t`` opens it with
     :func:`~locsim.strategy.begin_epoch`, called once per fix, which folds
     the velocity at the fix into the EWMA ``v_e`` and takes the planned
@@ -433,7 +432,7 @@ def _event_loop(
     k = 0  # int(t), shared by the velocity lookup and the logged position
     v = vel[0]
     v_e: Optional[float] = None
-    for a_t, change_t, bound, plan in spans:  # one pass per requirement span
+    for a_t, bound, plan in spans:  # one pass per requirement span
         while True:  # one pass per epoch
             # A fix at t; v is the velocity at t.
             v_e, method = begin_epoch(cfg, a_t, v, v_e, plan)
@@ -479,8 +478,8 @@ def _event_loop(
                 v = vel[k]
             t = t_next
 
-        if change_t < duration:
-            t = change_t
+        if bound < duration:
+            t = bound
             k = int(t)
             v = vel[k]
             if record_events:
@@ -622,35 +621,6 @@ def sweep_means(rows: Sequence[RunResult]) -> list[SweepMean]:
             )
         )
     return means
-
-
-DEFAULT_FIGURE_BETAS = tuple(round(0.1 * i, 10) for i in range(1, 11))
-DEFAULT_FIGURE_SEEDS = tuple(range(1, 31))
-
-
-def figure_series(
-    base: SimulationConfig,
-    *,
-    seeds: Sequence[int] = DEFAULT_FIGURE_SEEDS,
-) -> dict[str, list[tuple[float, float, float]]]:
-    """Build the four comparison tables: energy and satisfaction vs beta.
-
-    fig2/fig3 compare mean energy / mean satisfaction of fixed:gps against
-    the adaptive strategy at alpha=0.5; fig4/fig5 repeat this at alpha=0.3.
-    Rows are (beta, gps_value, ours_value), one per beta of
-    :data:`DEFAULT_FIGURE_BETAS`. One :func:`sweep` over both alphas runs
-    them all, so each seed's trace is generated once.
-    """
-    alphas = {0.5: ("fig2", "fig3"), 0.3: ("fig4", "fig5")}
-    betas = DEFAULT_FIGURE_BETAS
-    rows = sweep(base, list(alphas), betas, seeds, ["fixed:gps", "adaptive"])
-    means = {(m.kind, m.alpha, m.beta): m for m in sweep_means(rows)}
-    tables: dict[str, list[tuple[float, float, float]]] = {}
-    for alpha, (energy_key, sat_key) in alphas.items():
-        pairs = [(b, means["fixed:gps", alpha, b], means["adaptive", alpha, b]) for b in betas]
-        tables[energy_key] = [(b, g.total_energy_mJ, o.total_energy_mJ) for b, g, o in pairs]
-        tables[sat_key] = [(b, g.satisfaction, o.satisfaction) for b, g, o in pairs]
-    return tables
 
 
 def _fmt(x: float) -> str:

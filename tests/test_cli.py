@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locsim.cli import FIGURE_NAMES, MAX_LIST_VALUES, main, parse_float_list, parse_seed_list
+import locsim.simulator as simulator
+from locsim.cli import FIGURES, MAX_LIST_VALUES, main, parse_float_list, parse_seed_list
 from locsim.config import DEFAULTS, build_simulation_config
 from locsim.errors import ConfigError
-from locsim.mobility import MAX_DURATION_S
-from locsim.simulator import MAX_EVENTS, MAX_LOGGED_EVENTS, event_bounds
+from locsim.mobility import MAX_DURATION_S, generate_trace
+from locsim.simulator import MAX_EVENTS, MAX_LOGGED_EVENTS, event_bounds, sweep, sweep_means
 
 SUMMARY_HEADER = "kind,alpha,beta,seed,total_energy_mJ,satisfaction,fix_count,sample_count"
 GOLDEN_SEED7_ROW = "adaptive,0.500000,1.000000,7,149185.000000,0.655144,230,322"
@@ -448,9 +449,38 @@ class TestReproduceFigures:
         out_dir = tmp_path / "figs"
         code, out, _ = run_cli(capsys, "reproduce-figures", "--out", str(out_dir))
         assert code == 0
-        outputs = {f"{name}.csv": (out_dir / f"{name}.csv").read_bytes() for name in FIGURE_NAMES}
+        outputs = {f"{name}.csv": (out_dir / f"{name}.csv").read_bytes() for name, _, _ in FIGURES}
         outputs["stdout"] = out.encode()
         assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == expected
+
+    def test_one_sweep_with_one_trace_per_seed(self, tmp_path, capsys, monkeypatch):
+        traced = []
+
+        def spy(params):
+            traced.append(params.seed)
+            return generate_trace(params)
+
+        out_dir = tmp_path / "figs"
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "generate_trace", spy)
+            code, _, _ = run_cli(capsys, "reproduce-figures", "--duration", "120", "--out", str(out_dir))
+        assert code == 0
+        seeds = list(range(1, 31))
+        assert traced == seeds
+
+        # Each figure row is its alpha's own sweep means, formatted "%.6f".
+        base = build_simulation_config(dict(DEFAULTS, duration_s=120))
+        betas = [round(0.1 * i, 10) for i in range(1, 11)]
+        for alpha, (energy_name, sat_name) in ((0.5, ("fig2", "fig3")), (0.3, ("fig4", "fig5"))):
+            means = sweep_means(sweep(base, [alpha], betas, seeds, ["fixed:gps", "adaptive"]))
+            gps = {m.beta: m for m in means if m.kind == "fixed:gps"}
+            ours = {m.beta: m for m in means if m.kind == "adaptive"}
+            for name, field in ((energy_name, "total_energy_mJ"), (sat_name, "satisfaction")):
+                lines = (out_dir / f"{name}.csv").read_text().splitlines()[1:]
+                assert lines == [
+                    "%.6f,%.6f,%.6f" % (b, getattr(gps[b], field), getattr(ours[b], field))
+                    for b in betas
+                ]
 
 
 # (sane, extreme) values per config key for the fuzz below. Each drawn

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import locsim.simulator as simulator
 import locsim.strategy as strategy
+from locsim.cli import FIGURE_BETAS
 from locsim.config import DEFAULT_SCHEDULE_TEXT, DEFAULTS, build_simulation_config
 from locsim.errors import ConfigError
 from locsim.mobility import (
@@ -23,7 +24,6 @@ from locsim.mobility import (
     positions_at,
 )
 from locsim.simulator import (
-    DEFAULT_FIGURE_BETAS,
     EVENT_CSV_HEADER,
     EVENT_FIX,
     EVENT_SAMPLE,
@@ -562,7 +562,7 @@ class TestSweep:
         monkeypatch.setattr(simulator, "generate_trace", no_trace)
         base = build_simulation_config(DEFAULTS)
         with pytest.raises(AssertionError, match="a trace was generated"):
-            sweep(base, [0.3, 0.5], DEFAULT_FIGURE_BETAS, range(1, 31), ["adaptive", "fixed:gps"])
+            sweep(base, [0.3, 0.5], FIGURE_BETAS, range(1, 31), ["adaptive", "fixed:gps"])
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ConfigError):

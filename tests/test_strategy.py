@@ -357,10 +357,10 @@ class TestBeginEpoch:
         except ConfigError:
             assume(False)
         in_force = [a_t for i, (start, a_t) in enumerate(entries) if i == 0 or start < duration]
-        assert [a_t for a_t, _, _, _ in spans] == in_force
+        assert [a_t for a_t, _, _ in spans] == in_force
         cfg = config.loop_strategy
         v_hi = 2.0 * v_max
-        for a_t, _, _, plan in spans:
+        for a_t, _, plan in spans:
             beats = any(m.accuracy_m < a_t for m in cfg.methods)
             for v_e in (v_min, v_hi, data.draw(st.floats(v_min, v_hi))):
                 v = data.draw(st.floats(v_min, v_max))

@@ -20,13 +20,10 @@ import locsim.simulator as simulator
 from locsim.config import DEFAULTS, build_simulation_config
 from locsim.mobility import generate_trace, positions_at, times_at_positions
 from locsim.simulator import (
-    DEFAULT_FIGURE_BETAS,
     _event_loop,
     _satisfaction_exact,
-    figure_series,
     run,
     sweep,
-    sweep_means,
 )
 
 
@@ -147,30 +144,3 @@ def test_each_slice_equals_its_run_evaluated_alone(seed):
         )
         assert got == [satisfaction_alone(t, r, trace) for t, r in order]
         assert got == [_satisfaction_exact(t, r, [len(t)], trace)[0] for t, r in order]
-
-
-def test_figure_series_is_one_sweep_with_one_trace_per_seed(monkeypatch):
-    base = build_simulation_config(dict(DEFAULTS, duration_s=120))
-    seeds = range(1, 31)
-    traced = []
-
-    def spy(params):
-        traced.append(params.seed)
-        return generate_trace(params)
-
-    monkeypatch.setattr(simulator, "generate_trace", spy)
-    tables = figure_series(base, seeds=seeds)
-    assert traced == list(seeds)
-
-    # The same tables as one sweep per alpha, each table from its own means.
-    for alpha, (energy_key, sat_key) in ((0.5, ("fig2", "fig3")), (0.3, ("fig4", "fig5"))):
-        rows = sweep(base, [alpha], DEFAULT_FIGURE_BETAS, seeds, ["fixed:gps", "adaptive"])
-        means = sweep_means(rows)
-        gps = {m.beta: m for m in means if m.kind == "fixed:gps"}
-        ours = {m.beta: m for m in means if m.kind == "adaptive"}
-        assert tables[energy_key] == [
-            (b, gps[b].total_energy_mJ, ours[b].total_energy_mJ) for b in DEFAULT_FIGURE_BETAS
-        ]
-        assert tables[sat_key] == [
-            (b, gps[b].satisfaction, ours[b].satisfaction) for b in DEFAULT_FIGURE_BETAS
-        ]
