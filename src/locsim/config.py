@@ -97,13 +97,16 @@ def resolve_config(
 
 
 def build_simulation_config(values: Mapping[str, object]) -> SimulationConfig:
+    """The run config of ``values``; the integer keys pass through as they
+    are, so :class:`MobilityParams` refuses a non-integer instead of it being
+    truncated."""
     mobility = MobilityParams(
-        duration_s=int(values["duration_s"]),
-        t1_s=int(values["t1_s"]),
+        duration_s=values["duration_s"],
+        t1_s=values["t1_s"],
         v_min=float(values["v_min"]),
         v_max=float(values["v_max"]),
         v0=float(values["v0"]),
-        seed=int(values["seed"]),
+        seed=values["seed"],
     )
     strategy_cfg = StrategyConfig(
         alpha=float(values["alpha"]),

@@ -207,8 +207,11 @@ def _steps(span: float, step: float, ulp: float) -> float:
     return span / (step - ulp) if step > ulp else math.inf
 
 
-def event_bounds(config: SimulationConfig) -> tuple[float, float]:
-    """Upper bounds on a run's fix and sample counts, from ``config`` alone.
+def event_bounds(
+    config: SimulationConfig, record_events: bool = False
+) -> tuple[float, float, tuple[tuple, ...]]:
+    """The preflight: bounds on a run's fix and sample counts, and its span
+    table, from ``config`` alone.
 
     Within each schedule span of length L under the horizon, every epoch
     with a positive room lasts until the distance estimate, which grows at
@@ -219,24 +222,22 @@ def event_bounds(config: SimulationConfig) -> tuple[float, float]:
     where no method beats the requirement re-fixes instead, adding L /
     t_min_refix_s fixes. Each advance is taken shortened by the float
     spacing at the span's end, and one that spacing could round away gives
-    an infinite bound.
+    an infinite bound. The span table has one row ``(a_t, bound, plan)``
+    per span under the horizon: the requirement in force, the span's end
+    (the next change or the horizon) and its planned method.
 
-    Raises :class:`ConfigError` when a method the run uses beats a
-    requirement in the horizon but its cost rate overflows, or its seconds
-    of room underflow, at v_e = 2 * v_max. The EWMA stays below that and
-    float division rounds monotonically, so a run that passes has a finite
-    rate at every fix: where a span has no plan, :func:`select_method
-    <locsim.strategy.select_method>` always finds a method.
+    Raises :class:`ConfigError` when the bounds add up to an infinite sum
+    or to more than :data:`MAX_EVENTS`, or, with ``record_events``, to
+    more than :data:`MAX_LOGGED_EVENTS`. It also raises when a method the
+    run uses beats a requirement in the horizon but its cost rate
+    overflows, or its seconds of room underflow, at v_e = 2 * v_max. The
+    EWMA stays below that and float division rounds monotonically, so a run
+    that passes has a finite rate at every fix: where a span has no plan,
+    :func:`select_method <locsim.strategy.select_method>` always finds a
+    method.
     """
-    return _walk_schedule(config)[:2]
-
-
-def _walk_schedule(config: SimulationConfig) -> tuple[float, float, tuple[tuple, ...]]:
-    """:func:`event_bounds` and the span table of ``config``'s runs, one row
-    ``(a_t, bound, plan)`` per span under the horizon: the requirement in
-    force, the span's end (the next change or the horizon) and its plan."""
     cfg = config.loop_strategy
-    return _event_bounds(
+    fixes, samples, spans = _event_bounds(
         config.schedule.entries,
         cfg.methods,
         float(config.mobility.duration_s),
@@ -244,6 +245,23 @@ def _walk_schedule(config: SimulationConfig) -> tuple[float, float, tuple[tuple,
         cfg.beta,
         cfg.t_min_refix_s,
     )
+    most = fixes + samples
+    if most > MAX_EVENTS:
+        why = (
+            "an epoch or re-fix period is too short to advance the event time"
+            if most == math.inf
+            else f"the config allows up to {most:.3g} fixes and samples in one run, "
+            f"more than {MAX_EVENTS:.0e}"
+        )
+        raise ConfigError(
+            f"{why}; raise beta, t_min_refix_s or the rooms (requirement minus method accuracy)"
+        )
+    if record_events and most > MAX_LOGGED_EVENTS:
+        raise ConfigError(
+            f"the config allows up to {most:.3g} fixes and samples in one run, more than the "
+            f"{MAX_LOGGED_EVENTS:.0e} an event log may hold; drop --out, or raise beta or the rooms"
+        )
+    return fixes, samples, spans
 
 
 # The walk does not depend on the seed or alpha: the cache shares one span
@@ -288,55 +306,19 @@ def _event_bounds(
     return fixes, samples, tuple(spans)
 
 
-def _allowed_events(config: SimulationConfig, record_events: bool = False) -> tuple[float, tuple]:
-    """The sum of ``config``'s :func:`event_bounds` and its runs' span table
-    (:func:`_walk_schedule`); :class:`ConfigError` when the sum is infinite
-    or above :data:`MAX_EVENTS`, or, for a run that records its event log,
-    above :data:`MAX_LOGGED_EVENTS`."""
-    fixes, samples, spans = _walk_schedule(config)
-    most = fixes + samples
-    if most > MAX_EVENTS:
-        why = (
-            "an epoch or re-fix period is too short to advance the event time"
-            if most == math.inf
-            else f"the config allows up to {most:.3g} fixes and samples in one run, "
-            f"more than {MAX_EVENTS:.0e}"
-        )
-        raise ConfigError(
-            f"{why}; raise beta, t_min_refix_s or the rooms (requirement minus method accuracy)"
-        )
-    if record_events and most > MAX_LOGGED_EVENTS:
-        raise ConfigError(
-            f"the config allows up to {most:.3g} fixes and samples in one run, more than the "
-            f"{MAX_LOGGED_EVENTS:.0e} an event log may hold; drop --out, or raise beta or the rooms"
-        )
-    return most, spans
-
-
-def run(
-    config: SimulationConfig,
-    *,
-    trace: Optional[MotionTrace] = None,
-    record_events: bool = True,
-) -> RunResult:
+def run(config: SimulationConfig, *, record_events: bool = True) -> RunResult:
     """Simulate one full run; pure function of ``config``.
 
-    ``trace`` may supply a pre-generated trace for the same mobility
-    parameters. With ``record_events=False`` the event log is left empty;
-    every metric is unchanged. Every :class:`ConfigError` is raised before
-    any trace is generated: by the config types, or by the preflight, which
-    refuses what :func:`event_bounds` refuses and bounds adding up to over
-    :data:`MAX_EVENTS` (:data:`MAX_LOGGED_EVENTS` when the log is recorded).
-    Then a run is the one-cell case of :func:`_runs_on_trace`, the step
-    :func:`sweep` takes for each seed.
+    With ``record_events=False`` the event log is left empty; every metric
+    is unchanged. Every :class:`ConfigError` is raised before the trace is
+    generated: by the config types, or by the preflight,
+    :func:`event_bounds`, whose span table the run then walks. A run is the
+    one-cell case of :func:`_runs_on_trace`, the step :func:`sweep` takes
+    for each seed.
     """
-    _, spans = _allowed_events(config, record_events)
-    if trace is None:
-        trace = generate_trace(config.mobility)
-    elif trace.params != config.mobility:
-        raise ConfigError("supplied trace was generated from different mobility parameters")
+    _, _, spans = event_bounds(config, record_events)
     cells = [(config.strategy_kind, config.loop_strategy, spans)]
-    (result,) = _runs_on_trace(cells, trace, record_events)
+    (result,) = _runs_on_trace(cells, generate_trace(config.mobility), record_events)
     return result
 
 
@@ -348,9 +330,9 @@ def _runs_on_trace(
     """One result row per (kind, loop strategy, span table) cell, all over ``trace``.
 
     Each cell's strategy holds the methods its kind uses; its span table
-    comes from the preflight. :func:`_event_loop` runs once per cell and one
-    :func:`_satisfaction_exact` call evaluates all the runs; the rows take
-    their seed from the trace.
+    comes from :func:`event_bounds`. :func:`_event_loop` runs once per cell
+    and one :func:`_satisfaction_exact` call evaluates all the runs; the
+    rows take their seed from the trace.
     """
     # The fixes of all the runs, kept as doubles: as lists of Python
     # floats they would take about four times the memory.
@@ -382,9 +364,9 @@ def _event_loop(
     """Schedule fixes and samples over ``trace``, span by span of ``spans``.
 
     ``cfg`` holds the methods the run may use (one, for a pinned kind), and
-    ``spans`` is the config's :func:`_walk_schedule` table. Returns (energy,
-    samples, fix_times, fix_rooms, log): the total fix energy, the sample
-    count, each fix's time and room, and the event log, empty unless
+    ``spans`` is the config's span table from :func:`event_bounds`. Returns
+    (energy, samples, fix_times, fix_rooms, log): the total fix energy, the
+    sample count, each fix's time and room, and the event log, empty unless
     ``record_events``.
 
     The scheduler is three nested loops over Python floats, one per time
@@ -553,10 +535,10 @@ def sweep(
     """Run the grid; rows come in deterministic (kind, alpha, beta, seed) order.
 
     Before any trace, each distinct seed's mobility parameters are built,
-    and each (kind, alpha, beta) cell config is built once and bounded. A
-    refused cell is named with the first seed, as bounds do not depend on
-    seeds. The grid is refused too when its runs allow over
-    :data:`MAX_EVENTS` events in all, each run charged at least
+    and each (kind, alpha, beta) cell config is built once and bounded by
+    :func:`event_bounds`. A refused cell is named with the first seed, as
+    bounds do not depend on seeds. The grid is refused too when its runs
+    allow over :data:`MAX_EVENTS` events in all, each run charged at least
     :data:`RUN_EVENTS_FLOOR`.
 
     Then, for each distinct seed, its trace is generated once and one
@@ -579,8 +561,8 @@ def sweep(
         try:
             strategy_cfg = replace(base.strategy_cfg, alpha=alpha, beta=beta)
             cfg = replace(base, strategy_cfg=strategy_cfg, strategy_kind=kind)
-            allowed, spans = _allowed_events(cfg)
-            most += max(allowed, RUN_EVENTS_FLOOR) * len(seeds)
+            fixes, samples, spans = event_bounds(cfg)
+            most += max(fixes + samples, RUN_EVENTS_FLOOR) * len(seeds)
         except ConfigError as exc:
             raise ConfigError(
                 f"sweep cell kind={kind} alpha={alpha} beta={beta} seed={seeds[0]}: {exc}"
@@ -623,18 +605,18 @@ def sweep_means(rows: Sequence[RunResult]) -> list[SweepMean]:
     return means
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6f}"
+# "%.6f" % x is the same string as f"{x:.6f}" for every float.
+_SUMMARY_ROW = "%s,%.6f,%.6f,%s,%.6f,%.6f,%s,%s\n"
+_MEAN_ROW = "%s,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f\n"
 
 
 def summary_to_csv(rows: Sequence[RunResult]) -> str:
-    lines = [SUMMARY_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.kind},{_fmt(r.alpha)},{_fmt(r.beta)},{r.seed},"
-            f"{_fmt(r.total_energy_mJ)},{_fmt(r.satisfaction)},{r.fix_count},{r.sample_count}"
-        )
-    return "\n".join(lines) + "\n"
+    return SUMMARY_CSV_HEADER + "\n" + "".join(
+        _SUMMARY_ROW
+        % (r.kind, r.alpha, r.beta, r.seed, r.total_energy_mJ, r.satisfaction, r.fix_count,
+           r.sample_count)
+        for r in rows
+    )
 
 
 def write_summary_csv(rows: Sequence[RunResult], path) -> None:
@@ -643,13 +625,12 @@ def write_summary_csv(rows: Sequence[RunResult], path) -> None:
 
 
 def means_to_csv(means: Sequence[SweepMean]) -> str:
-    lines = [MEAN_CSV_HEADER]
-    for m in means:
-        lines.append(
-            f"{m.kind},{_fmt(m.alpha)},{_fmt(m.beta)},"
-            f"{_fmt(m.total_energy_mJ)},{_fmt(m.satisfaction)},{_fmt(m.fix_count)},{_fmt(m.sample_count)}"
-        )
-    return "\n".join(lines) + "\n"
+    return MEAN_CSV_HEADER + "\n" + "".join(
+        _MEAN_ROW
+        % (m.kind, m.alpha, m.beta, m.total_energy_mJ, m.satisfaction, m.fix_count,
+           m.sample_count)
+        for m in means
+    )
 
 
 def write_mean_csv(means: Sequence[SweepMean], path) -> None:
@@ -657,8 +638,7 @@ def write_mean_csv(means: Sequence[SweepMean], path) -> None:
         fh.write(means_to_csv(means))
 
 
-# "%.6f" % x is the same string as f"{x:.6f}" for every float. The
-# velocity comes formatted already, hence its "%s".
+# The velocity comes formatted already, hence its "%s".
 _EVENT_ROW = "%.6f,%s,,,%.6f,%s,%.6f\n"
 _FIX_ROW = "%.6f,%s,%s,%.6f,%.6f,%s,%.6f\n"
 

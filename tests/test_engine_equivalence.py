@@ -250,7 +250,7 @@ def test_counts_stay_within_event_bounds(values):
     config = build_simulation_config(dict(DEFAULTS, **values))
     result = run_unless_refused(config, record_events=False)
     if result is not None:
-        fixes, samples = event_bounds(config)
+        fixes, samples, _ = event_bounds(config)
         assert result.fix_count <= fixes
         assert result.sample_count <= samples
 

@@ -119,6 +119,13 @@ def test_non_finite_numbers_rejected(field, value):
         NON_FINITE_CONSTRUCTORS[field](value)
 
 
+def test_non_integer_values_are_refused_not_truncated():
+    # int() would build a 3599-s run from 3599.9, or seed 7 from 7.9.
+    for key, value in (("duration_s", 3599.9), ("t1_s", 3.5), ("seed", 7.9)):
+        with pytest.raises(ConfigError, match=f"{key} must be"):
+            build_simulation_config({**DEFAULTS, key: value})
+
+
 class TestRunClosedForm:
     def test_adaptive_constant_velocity(self, make_constant_config):
         result = run(make_constant_config())
@@ -172,12 +179,6 @@ class TestRunClosedForm:
     def test_fixed_strategy_unknown_method_rejected(self, make_constant_config):
         with pytest.raises(ConfigError):
             make_constant_config(kind="fixed:lidar")
-
-    def test_trace_param_mismatch_rejected(self, make_constant_config):
-        cfg = make_constant_config()
-        other = generate_trace(MobilityParams(duration_s=100, t1_s=200, v0=5.0, seed=0))
-        with pytest.raises(ConfigError):
-            run(cfg, trace=other)
 
 
 class TestEventProtocol:
@@ -332,7 +333,7 @@ class TestEventLog:
                 {**DEFAULTS, "duration_s": 900, "beta": 0.3, "seed": 4, "schedule": schedule}
             )
             trace = generate_trace(cfg.mobility)
-            log = run(cfg, trace=trace).log
+            log = run(cfg).log
             times = np.array([row[0] for row in log])
             assert [row[4] for row in log] == positions_at(trace, times).tolist(), schedule
             assert {row[1] for row in log} == {EVENT_FIX, EVENT_SAMPLE, EVENT_SCHEDULE_CHANGE}
@@ -363,7 +364,7 @@ class TestEventBounds:
     def test_paper_runs_are_far_below_the_limit(self):
         for beta in (0.1, 1.0):
             cfg = build_simulation_config({**DEFAULTS, "beta": beta})
-            fixes, samples = event_bounds(cfg)
+            fixes, samples, _ = event_bounds(cfg)
             result = run(cfg, record_events=False)
             assert result.fix_count <= fixes and result.sample_count <= samples
             assert fixes + samples < MAX_EVENTS / 1000
@@ -372,7 +373,7 @@ class TestEventBounds:
         monkeypatch.setattr(simulator, "generate_trace", no_trace)
         cfg = build_simulation_config({**DEFAULTS, "duration_s": 1_000_000, "beta": 0.01})
         # About 5.1e7 events: allowed without a log, too many to keep one.
-        assert MAX_LOGGED_EVENTS < simulator._allowed_events(cfg)[0] < MAX_EVENTS
+        assert MAX_LOGGED_EVENTS < sum(event_bounds(cfg)[:2]) < MAX_EVENTS
         with pytest.raises(ConfigError, match="an event log may hold; drop --out"):
             run(cfg)
 
@@ -381,7 +382,7 @@ class TestEventBounds:
         cfg = build_simulation_config(
             {**DEFAULTS, "duration_s": MAX_DURATION_S, "beta": 0.1, "strategy": kind}
         )
-        assert simulator._allowed_events(cfg, record_events=True)[0] <= MAX_LOGGED_EVENTS
+        assert sum(event_bounds(cfg, record_events=True)[:2]) <= MAX_LOGGED_EVENTS
 
     def test_rounding_that_could_stall_time_is_refused(self):
         # At t = 1e5 the float spacing is about 1.5e-11 s, so re-fixing every
@@ -390,7 +391,8 @@ class TestEventBounds:
             {**DEFAULTS, "duration_s": 100001, "t_min_refix_s": 1e-12,
              "schedule": "0:500,100000:5,100000.00001:500"}
         )
-        assert event_bounds(cfg)[0] == math.inf
+        with pytest.raises(ConfigError, match="too short to advance the event time"):
+            event_bounds(cfg)
         with pytest.raises(ConfigError, match="too short to advance the event time"):
             run(cfg, record_events=False)
 

@@ -8,12 +8,14 @@ log.
 
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import locsim.simulator as simulator
 from locsim.errors import ConfigError
 from locsim.mobility import MobilityParams, MotionTrace
 from locsim.simulator import (
@@ -22,7 +24,7 @@ from locsim.simulator import (
     EVENT_SCHEDULE_CHANGE,
     AccuracySchedule,
     SimulationConfig,
-    _walk_schedule,
+    _event_bounds,
     parse_schedule,
     run,
 )
@@ -272,7 +274,8 @@ def step_trace_run(velocities, schedule="0:500", alpha=0.5, beta=1.0):
                             v0=velocities[0], seed=0)
     trace = MotionTrace(params, np.array(velocities, dtype=float))
     cfg = SimulationConfig(params, StrategyConfig(alpha=alpha, beta=beta), parse_schedule(schedule))
-    return run(cfg, trace=trace)
+    with mock.patch.object(simulator, "generate_trace", lambda _: trace):
+        return run(cfg)
 
 
 def fixes(result):
@@ -352,14 +355,16 @@ class TestBeginEpoch:
             AccuracySchedule(entries),
             kind,
         )
+        cfg = config.loop_strategy
+        v_hi = 2.0 * v_max
         try:
-            _, _, spans = _walk_schedule(config)
+            _, _, spans = _event_bounds(
+                entries, cfg.methods, float(duration), v_hi, cfg.beta, cfg.t_min_refix_s
+            )
         except ConfigError:
             assume(False)
         in_force = [a_t for i, (start, a_t) in enumerate(entries) if i == 0 or start < duration]
         assert [a_t for a_t, _, _ in spans] == in_force
-        cfg = config.loop_strategy
-        v_hi = 2.0 * v_max
         for a_t, _, plan in spans:
             beats = any(m.accuracy_m < a_t for m in cfg.methods)
             for v_e in (v_min, v_hi, data.draw(st.floats(v_min, v_hi))):

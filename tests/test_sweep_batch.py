@@ -129,7 +129,7 @@ def test_each_slice_equals_its_run_evaluated_alone(seed):
     runs = []
     for coords in product(("adaptive", "fixed:gps", "fixed:wifi"), (0.3, 0.5), (0.1, 0.35, 1.0)):
         cell = cell_config(base, *coords)
-        _, spans = simulator._allowed_events(cell)
+        _, _, spans = simulator.event_bounds(cell)
         _, _, times, rooms, _ = _event_loop(cell.loop_strategy, spans, trace, False)
         runs.append((np.array(times), np.array(rooms)))
     times, rooms = runs[0]
