@@ -12,12 +12,12 @@ consumed in ascending event-time order exactly as
 or 3 admissible accelerations, none for an event with only one (as when
 v_min == v_max), and one more for each value the bounded draw rejects
 (probability 2**-32 per event with 3 choices). The walk draws the values
-in bulk, turns each into a small-int code that holds its index for both 2
-and 3 choices, and takes each event's next level from the current level's
-successor row, one lookup per event (see :func:`generate_trace`). Nothing
-else in the package draws random numbers, so traces (and everything
-computed from them) are bit-reproducible across runs and machines for a
-given seed.
+in chunks of at most ``_CHUNK``, turns each into a small-int code that
+holds its index for both 2 and 3 choices, and takes each event's next
+level from the current level's successor row, one lookup per event (see
+:func:`generate_trace`). Nothing else in the package draws random numbers,
+so traces (and everything computed from them) are bit-reproducible across
+runs and machines for a given seed.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ __all__ = [
 # paper's runs are 3600 s).
 MAX_DURATION_S = 1_000_000
 
-# Velocities are v0 + k for integer k, so a step of +-1 m/s between seconds
-# can differ from 1 by float rounding; allow this much slack.
-_STEP_SLACK = 2e-6
+# The most 32-bit values the walk draws at once, so a trace that stops
+# early draws at most this many values it never reads.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,12 @@ class MobilityParams:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.duration_s, int) or self.duration_s < 0:
+        # ``type(x) is int`` refuses a bool, which ``isinstance`` would pass.
+        if type(self.duration_s) is not int or self.duration_s < 0:
             raise ConfigError(f"duration_s must be a non-negative integer, got {self.duration_s!r}")
         if self.duration_s > MAX_DURATION_S:
             raise ConfigError(f"duration_s must be at most {MAX_DURATION_S}, got {self.duration_s!r}")
-        if not isinstance(self.t1_s, int) or self.t1_s < 1:
+        if type(self.t1_s) is not int or self.t1_s < 1:
             raise ConfigError(f"t1_s must be a positive integer, got {self.t1_s!r}")
         # A period of MAX_DURATION_S already holds the velocity constant over
         # the longest horizon, so no longer one changes a trace.
@@ -83,7 +84,7 @@ class MobilityParams:
             raise ConfigError(f"v_max must be >= v_min, got v_max={self.v_max!r} v_min={self.v_min!r}")
         if not (self.v_min <= self.v0 <= self.v_max):
             raise ConfigError(f"v0 must lie in [v_min, v_max], got {self.v0!r}")
-        if not isinstance(self.seed, int) or not (0 <= self.seed < 2**64):
+        if type(self.seed) is not int or not (0 <= self.seed < 2**64):
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
 
@@ -93,6 +94,10 @@ class MotionTrace:
 
     ``velocities[t]`` holds the (constant) velocity over [t, t+1);
     ``cumulative_m[k]`` is the distance travelled over [0, k].
+
+    :func:`generate_trace` builds it, and nothing here re-checks what it
+    built: one value per second inside [v_min, v_max], steps of at most
+    1 m/s, changes only every ``t1_s`` seconds. The test suite pins these.
     """
 
     params: MobilityParams
@@ -101,19 +106,6 @@ class MotionTrace:
 
     def __post_init__(self) -> None:
         v = np.asarray(self.velocities, dtype=float)
-        p = self.params
-        expected = max(1, p.duration_s)
-        if v.ndim != 1 or len(v) != expected:
-            raise ConfigError(f"trace must hold {expected} per-second velocities, got {v.shape}")
-        # Written so that a NaN, which fails every comparison, fails it too.
-        if not np.all((v >= p.v_min) & (v <= p.v_max)):
-            raise ConfigError("trace velocity outside [v_min, v_max]")
-        steps = np.diff(v)
-        if np.any(np.abs(steps) > 1.0 + _STEP_SLACK):
-            raise ConfigError("trace velocity changed by more than 1 m/s between seconds")
-        change_idx = np.nonzero(steps)[0] + 1
-        if np.any(change_idx % p.t1_s != 0):
-            raise ConfigError("trace velocity changed outside acceleration-event times")
         v.setflags(write=False)
         cum = np.concatenate(([0.0], np.cumsum(v)))
         cum.setflags(write=False)
@@ -135,13 +127,15 @@ def generate_trace(params: MobilityParams) -> MotionTrace:
     The draws reproduce ``rng.integers(k)`` over the k admissible
     accelerations of (-1, 0, +1): numpy maps a 32-bit value ``x`` to
     ``(x * k) >> 32`` (Lemire), and for k == 3 rejects ``x == 0`` and takes
-    the next value. The walk draws one value per event in bulk and
+    the next value. The walk draws one value per event still without a
+    level, at most ``_CHUNK`` at a time (PCG64 keeps the spare 32-bit half
+    across calls, so the chunks read what one bulk draw would), and
     :func:`_codes` turns each into a small int that holds both indices.
     The first time the walk reaches a level it builds that level's
     successor row (:func:`_successors`), the next level for each code, so
-    an event is one row lookup. A rejected value adds one more code to the
-    end of the list, drawn from the same stream; at a level where neither
-    step is allowed the walk stops and the level holds to the end.
+    an event is one row lookup. A rejected value is skipped and the next
+    chunk draws the one it leaves missing; at a level where neither step
+    is allowed the walk stops and the level holds to the end.
     """
     rng = np.random.default_rng(params.seed)
     n = max(1, params.duration_s)
@@ -151,23 +145,21 @@ def generate_trace(params: MobilityParams) -> MotionTrace:
     level = float(params.v0)
     levels = [level]
     row = _successors(level, v_min, v_max)
-    if row is not None:
-        rows = {level: row}
-        append, row_of = levels.append, rows.get
-        codes = _codes(rng, events)
-        for c in codes:
+    rows = {level: row}
+    append, row_of = levels.append, rows.get
+    left = events
+    while left and row is not None:
+        for c in _codes(rng, min(left, _CHUNK)):
             level = row[c]
             if level is None:
-                # A rejected value: this event reads the next code, and
-                # one more is drawn onto the end so every event has one.
-                codes += _codes(rng, 1)
-                continue
+                continue  # a rejected value: this event reads the next one
             append(level)
             row = row_of(level)
             if row is None:
                 row = rows[level] = _successors(level, v_min, v_max)
                 if row is None:
                     break
+        left = events + 1 - len(levels)
     counts = np.full(len(levels), t1)
     counts[-1] = n - (len(levels) - 1) * t1
     return MotionTrace(params=params, velocities=np.repeat(np.array(levels), counts))

@@ -591,12 +591,18 @@ def sweep_means(rows: Sequence[RunResult]) -> list[SweepMean]:
     means: list[SweepMean] = []
     for (kind, alpha, beta), cell in grouped.items():
         n = len(cell)
+        energies = [r.total_energy_mJ for r in cell]
+        try:
+            energy = math.fsum(energies) / n
+        except OverflowError:  # the sum leaves the float range, the mean cannot
+            scale = 2.0 ** -n.bit_length()  # 1 / 2**k with 2**k > n: a finite sum
+            energy = math.fsum(e * scale for e in energies) / n / scale
         means.append(
             SweepMean(
                 kind,
                 alpha,
                 beta,
-                math.fsum(r.total_energy_mJ for r in cell) / n,
+                energy,
                 math.fsum(r.satisfaction for r in cell) / n,
                 math.fsum(r.fix_count for r in cell) / n,
                 math.fsum(r.sample_count for r in cell) / n,

@@ -29,11 +29,13 @@ from locsim.strategy import DEFAULT_METHODS, StrategyConfig, on_velocity_sample,
 from _events import events
 
 # A per-epoch cost estimate with velocity pinned at the mobility midpoint
-# (5.5 m/s) puts the adaptive/gps energy ratio near 0.77: the two tightest
-# requirement spans admit no method cheaper than gps, so the ratio cannot
-# approach the ~0.1 that the relaxed spans alone would suggest. 0.85 leaves
-# margin for ensemble noise; item 5 first re-derives the estimate and checks
-# it stays under this bound before holding the simulated means to it.
+# (5.5 m/s) puts the adaptive/gps energy ratio near 0.77: the tightest
+# requirement span (50 m) admits no method cheaper than gps, and at 80 m
+# wifi beats gps only narrowly (545 / 30 = 18.2 against 1425 / 70 = 20.4 mJ
+# per metre of room), so the ratio cannot approach the ~0.1 that the
+# relaxed spans alone would suggest. 0.85 leaves margin for ensemble noise;
+# item 5 first re-derives the estimate and checks it stays under this bound
+# before holding the simulated means to it.
 ENERGY_RATIO_BOUND = 0.85
 
 ENSEMBLE_ALPHAS = (0.3, 0.5)

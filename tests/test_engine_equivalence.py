@@ -316,6 +316,8 @@ def both_traces(refsim, values):
 
 @settings(max_examples=300)
 @given(values=mobility_values())
+# 19,999 events: the walk draws its values in five chunks.
+@example(values={"duration_s": 20_000, "t1_s": 1, "v_min": 1.0, "v_max": 10.0, "v0": 5.0, "seed": 3})
 def test_drawn_traces_match_reference(refsim, values):
     got, want = both_traces(refsim, values)
     assert got == want
@@ -430,6 +432,11 @@ def zeros_in_stream(draw):
 # 4 m/s there, inside the band, so the last event rejects all three and
 # takes the value after them, past the bulk draw.
 @example(case=({"duration_s": 40, "t1_s": 1, "v_min": 1.0, "v_max": 10.0, "v0": 5.0, "seed": 1}, [38, 39, 40]))
+# 8,999 events, drawn in chunks of 4,096, 4,096, 809 and 1 values: zeros
+# end the first chunk and start the second, and one event at 3 m/s rejects
+# both; the zero at the last event's value is rejected too, so a fourth
+# chunk draws the one value still missing.
+@example(case=({"duration_s": 9000, "t1_s": 1, "v_min": 1.0, "v_max": 10.0, "v0": 5.0, "seed": 2}, [4095, 4096, 8998]))
 def test_traces_match_reference_with_zeros_anywhere_in_the_stream(refsim, case):
     values, zeros = case
     stream = served_values(values, zeros)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import locsim.mobility as mobility
 from locsim.errors import ConfigError
 from locsim.mobility import (
     MAX_DURATION_S,
@@ -15,17 +16,7 @@ from locsim.mobility import (
     times_at_positions,
 )
 
-
-def make_trace(velocities, t1_s=1, v_min=1.0, v_max=10.0):
-    params = MobilityParams(
-        duration_s=len(velocities),
-        t1_s=t1_s,
-        v_min=v_min,
-        v_max=v_max,
-        v0=float(velocities[0]),
-        seed=0,
-    )
-    return MotionTrace(params=params, velocities=np.array(velocities, dtype=float))
+from _traces import assert_trace_invariants, hand_trace
 
 
 class TestMobilityParams:
@@ -43,6 +34,10 @@ class TestMobilityParams:
             dict(v0=11.0),
             dict(seed=-1),
             dict(seed=2**64),
+            dict(duration_s=True),
+            dict(t1_s=True),
+            dict(seed=True),
+            dict(seed=False),
         ):
             with pytest.raises(ConfigError):
                 MobilityParams(**{**good, **bad})
@@ -57,6 +52,15 @@ class TestMobilityParams:
         assert list(trace.velocities) == [2.0]
         assert trace.velocities[0] == 2.0
         assert positions_at(trace, np.array([0.0])).tolist() == [0.0]
+
+
+@st.composite
+def bands(draw):
+    """(v_min, v_max, v0) on tenths of a m/s, as in the engine-equivalence
+    tests: bands narrower than one step, and levels that drift by rounding."""
+    v_min = draw(st.integers(10, 50)) / 10
+    v_max = v_min + draw(st.sampled_from([0.0, 0.5, 1.0, 1.2]) | st.integers(0, 90).map(lambda k: k / 10))
+    return v_min, v_max, draw(st.sampled_from([v_min, v_max]) | st.floats(v_min, v_max))
 
 
 def steps_from(params):
@@ -132,52 +136,77 @@ class TestGenerateTrace:
             assert np.all(changed % 7 == 0), f"seed {seed}: change off the t1 grid"
 
     @given(
-        duration=st.integers(min_value=1, max_value=200),
+        duration=st.integers(min_value=0, max_value=200),
         t1=st.integers(min_value=1, max_value=9),
-        v0=st.integers(min_value=1, max_value=10),
+        band=bands(),
         seed=st.integers(min_value=0, max_value=2**32),
     )
-    def test_invariants_hold(self, duration, t1, v0, seed):
-        params = MobilityParams(duration_s=duration, t1_s=t1, v0=float(v0), seed=seed)
-        v = generate_trace(params).velocities
-        assert len(v) == duration
-        assert np.all((v >= 1.0) & (v <= 10.0))
-        steps = np.diff(v)
-        assert np.all(np.abs(steps) <= 1.0)
-        assert np.all((np.nonzero(steps)[0] + 1) % t1 == 0)
+    def test_invariants_hold(self, duration, t1, band, seed):
+        v_min, v_max, v0 = band
+        params = MobilityParams(duration, t1, v_min, v_max, v0, seed)
+        assert_trace_invariants(generate_trace(params))
+
+    def test_a_trace_that_stops_early_draws_one_chunk_at_most(self, monkeypatch):
+        # The walk reaches 2.3 within a few events, where 2.3 - 1 < 1.3 and
+        # 3.3 > 2.5, and holds it: drawing a value per event would take
+        # 999,999 values for this trace.
+        codes, drawn = mobility._codes, []
+
+        def spy(rng, size):
+            drawn.append(size)
+            return codes(rng, size)
+
+        monkeypatch.setattr(mobility, "_codes", spy)
+        trace = generate_trace(MobilityParams(1_000_000, 1, 1.3, 2.5, 1.3, 0))
+        assert trace.velocities[-1] == 2.3
+        assert 0 < sum(drawn) <= mobility._CHUNK
+
+    def test_split_draws_read_the_values_of_one_draw(self):
+        # The walk draws its 32-bit values in chunks and stays identical to
+        # one bulk draw only because PCG64 keeps the spare half of an odd
+        # draw for the next call.
+        for seed in range(5):
+            for a, b in ((1, 1), (1, 6), (3, 4), (4095, 2), (4097, 9)):
+                rng = np.random.default_rng(seed)
+                split = [rng.integers(0, 2**32, dtype=np.uint32, size=n).tolist() for n in (a, b)]
+                whole = np.random.default_rng(seed).integers(0, 2**32, dtype=np.uint32, size=a + b)
+                assert split[0] + split[1] == whole.tolist()
 
 
 class TestMotionTraceValidation:
+    """``MotionTrace`` checks nothing; the suite's invariant check flags
+    each bad hand-made trace."""
+
     def test_rejects_out_of_band_velocity(self):
         for velocities in ([1.0, 11.0], [5.0, float("nan")]):
-            with pytest.raises(ConfigError, match=r"outside \[v_min, v_max\]"):
-                make_trace(velocities)
+            with pytest.raises(AssertionError, match=r"outside \[v_min, v_max\]"):
+                hand_trace(velocities)
 
     def test_rejects_large_step(self):
-        with pytest.raises(ConfigError):
-            make_trace([2.0, 4.0])
+        with pytest.raises(AssertionError, match="step above 1 m/s"):
+            hand_trace([2.0, 4.0])
 
     def test_rejects_change_off_grid(self):
-        with pytest.raises(ConfigError):
-            make_trace([2.0, 2.0, 3.0, 3.0], t1_s=3)
+        with pytest.raises(AssertionError, match="off the t1_s grid"):
+            hand_trace([2.0, 2.0, 3.0, 3.0], t1_s=3)
 
     def test_rejects_wrong_length(self):
-        params = MobilityParams(duration_s=5, t1_s=1, v0=2.0)
-        with pytest.raises(ConfigError):
-            MotionTrace(params=params, velocities=np.array([2.0, 2.0]))
+        trace = MotionTrace(MobilityParams(duration_s=5, t1_s=1, v0=2.0), np.array([2.0, 2.0]))
+        with pytest.raises(AssertionError, match="must hold 5 velocities"):
+            assert_trace_invariants(trace)
 
 
 class TestPositionAt:
     def test_zero_at_zero(self):
-        trace = make_trace([3.0] * 10)
+        trace = hand_trace([3.0] * 10)
         assert positions_at(trace, np.array([0.0])).tolist() == [0.0]
 
     def test_constant_velocity(self):
-        trace = make_trace([3.0] * 12)
+        trace = hand_trace([3.0] * 12)
         assert positions_at(trace, np.array([10.0])).tolist() == [30.0]
 
     def test_piecewise_profile(self):
-        trace = make_trace([2.0, 2.0, 2.0, 3.0, 3.0], t1_s=3)
+        trace = hand_trace([2.0, 2.0, 2.0, 3.0, 3.0], t1_s=3)
         at_5, at_4_5 = positions_at(trace, np.array([5.0, 4.5]))
         assert at_5 == 12.0
         assert at_4_5 == pytest.approx(10.5, abs=1e-12)
@@ -224,5 +253,5 @@ class TestTimesAtPositions:
         assert np.allclose(back, ts, atol=1e-9)
 
     def test_beyond_total_distance_caps_at_duration(self):
-        trace = make_trace([2.0] * 10)
+        trace = hand_trace([2.0] * 10)
         assert times_at_positions(trace, np.array([1000.0]))[0] == 10.0

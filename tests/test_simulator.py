@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import random
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,6 @@ from locsim.errors import ConfigError
 from locsim.mobility import (
     MAX_DURATION_S,
     MobilityParams,
-    MotionTrace,
     generate_trace,
     positions_at,
 )
@@ -47,6 +47,7 @@ from locsim.simulator import (
 from locsim.strategy import DEFAULT_METHODS, Method, StrategyConfig
 
 from _events import events
+from _traces import hand_trace
 
 GPS, WIFI, GSM = DEFAULT_METHODS
 
@@ -446,10 +447,7 @@ class TestSatisfaction:
     def test_linear_crossing_example(self):
         # One fix at t=0 (accuracy 50), v=2, requirement 100 over 30 s:
         # satisfied while 2t + 50 <= 100, i.e. 25 of 30 seconds.
-        trace = MotionTrace(
-            params=MobilityParams(duration_s=30, t1_s=40, v_min=1.0, v_max=10.0, v0=2.0, seed=0),
-            velocities=np.full(30, 2.0),
-        )
+        trace = hand_trace(np.full(30, 2.0), t1_s=40)
         room = np.array([100.0 - WIFI.accuracy_m])
         assert _satisfaction_exact(np.array([0.0]), room, [1], trace) == [
             pytest.approx(25.0 / 30.0, abs=1e-12)
@@ -460,10 +458,7 @@ class TestSatisfaction:
         assert run(make_constant_config()).satisfaction == 1.0
 
     def test_fallback_epochs_contribute_zero(self):
-        trace = MotionTrace(
-            params=MobilityParams(duration_s=10, t1_s=20, v_min=1.0, v_max=10.0, v0=5.0, seed=0),
-            velocities=np.full(10, 5.0),
-        )
+        trace = hand_trace(np.full(10, 5.0), t1_s=20)
         # Fallback fixes every second with gps (accuracy 10) under requirement 5.
         fix_times = np.arange(10, dtype=float)
         room = np.full(10, 5.0 - GPS.accuracy_m)
@@ -581,6 +576,12 @@ class TestSweep:
         assert means[0].total_energy_mJ == pytest.approx(
             sum(r.total_energy_mJ for r in first) / 3
         )
+
+    def test_mean_energy_near_the_float_maximum(self):
+        rows = sweep(self.base(), [0.5], [1.0], [1, 2, 3], ["adaptive"])
+        for energy in (1e308, sys.float_info.max):
+            huge = [replace(r, total_energy_mJ=energy) for r in rows]
+            assert sweep_means(huge)[0].total_energy_mJ == energy
 
 
 def csv_by_field(rows):

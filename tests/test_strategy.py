@@ -10,14 +10,13 @@ import math
 import random
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import locsim.simulator as simulator
 from locsim.errors import ConfigError
-from locsim.mobility import MobilityParams, MotionTrace
+from locsim.mobility import MobilityParams
 from locsim.simulator import (
     EVENT_FIX,
     EVENT_SAMPLE,
@@ -42,6 +41,7 @@ from locsim.strategy import (
 )
 
 from _events import events
+from _traces import hand_trace
 
 GPS, WIFI, GSM = DEFAULT_METHODS
 
@@ -270,10 +270,8 @@ class TestPlanMethod:
 
 def step_trace_run(velocities, schedule="0:500", alpha=0.5, beta=1.0):
     """Run over a trace that may change velocity every second (t1_s=1)."""
-    params = MobilityParams(duration_s=len(velocities), t1_s=1, v_min=1.0, v_max=10.0,
-                            v0=velocities[0], seed=0)
-    trace = MotionTrace(params, np.array(velocities, dtype=float))
-    cfg = SimulationConfig(params, StrategyConfig(alpha=alpha, beta=beta), parse_schedule(schedule))
+    trace = hand_trace(velocities)
+    cfg = SimulationConfig(trace.params, StrategyConfig(alpha=alpha, beta=beta), parse_schedule(schedule))
     with mock.patch.object(simulator, "generate_trace", lambda _: trace):
         return run(cfg)
 
