@@ -390,15 +390,19 @@ def _event_loop(
 
     Each event is logged as a plain tuple in :class:`RunResult` log order,
     its position computed in the loop as ``cum[k] + (t - k) * v``: the float
-    expression of :func:`~locsim.mobility.positions_at`. Here ``k = int(t)``
-    is taken once per event, where the event's velocity ``vel[k]`` is looked
-    up; a fix reuses the ``k`` of the event that set its time (t = 0, the
-    sample that called for it, a change, or a fallback re-fix). The
-    unrecorded loop makes the same one ``int()`` call per sample.
-    :func:`_runs_on_trace` is the loop's one caller.
+    expression of :func:`~locsim.mobility.positions_at`. Here the trace
+    second ``k = math.floor(t)`` is taken once per event, where the event's
+    velocity ``vel[k]`` is looked up; a fix reuses the ``k`` of the event
+    that set its time (t = 0, the sample that called for it, a change, or a
+    fallback re-fix). Event times are never negative, so this is the second
+    ``int(t)`` gives; ``int(x)`` is a type call, which CPython 3.11 does not
+    specialize. The sample counters ``n`` and ``samples`` are floats for the
+    same reason, so the sample step does only float arithmetic; they are
+    exact below 2**53, far above :data:`MAX_EVENTS`, and ``samples`` is
+    returned as an int. :func:`_runs_on_trace` is the loop's one caller.
     """
     duration = float(trace.params.duration_s)
-    vel = trace.velocity_list  # every event index int(t) is < duration, so in range
+    vel = trace.velocity_list  # every event second floor(t) is < duration, so in range
     cum = trace.cumulative_m.tolist() if record_events else None
     alpha, beta, t_min = cfg.alpha, cfg.beta, cfg.t_min_refix_s
     near = 1.0 - BUDGET_REL_TOL
@@ -407,11 +411,11 @@ def _event_loop(
     fix_times: list[float] = []
     fix_rooms: list[float] = []
     energy = 0.0
-    samples = 0
+    samples = 0.0  # a float, as is n below: see the docstring
     trigger: Optional[tuple] = None  # a sample calling for a fix is logged after that fix
 
     t = 0.0
-    k = 0  # int(t), shared by the velocity lookup and the logged position
+    k = 0  # floor(t), shared by the velocity lookup and the logged position
     v = vel[0]
     v_e: Optional[float] = None
     for a_t, bound, plan in spans:  # one pass per requirement span
@@ -433,20 +437,20 @@ def _event_loop(
                 t_next = t + wait
                 limit = room * near
                 r_i = 0.0
-                n = 0  # samples taken in this epoch
+                n = 0.0  # samples taken in this epoch
                 while t_next < bound:
-                    k = int(t_next)
+                    k = math.floor(t_next)
                     v = vel[k]
                     v_e = on_velocity_sample(v_e, v, alpha)
                     r_i += v_e * wait
-                    n += 1
+                    n += 1.0
                     if not r_i < limit:
                         break
                     if record_events:
                         log.append(
                             (t_next, EVENT_SAMPLE, None, None, cum[k] + (t_next - k) * v, v, v_e)
                         )
-                    t_next = t + (n + 1) * wait
+                    t_next = t + (n + 1.0) * wait
                 samples += n
                 if not t_next < bound:
                     break
@@ -456,18 +460,18 @@ def _event_loop(
                 t_next = t + t_min
                 if not t_next < bound:
                     break
-                k = int(t_next)
+                k = math.floor(t_next)
                 v = vel[k]
             t = t_next
 
         if bound < duration:
             t = bound
-            k = int(t)
+            k = math.floor(t)
             v = vel[k]
             if record_events:
                 log.append((t, EVENT_SCHEDULE_CHANGE, None, None, cum[k] + (t - k) * v, v, v_e))
 
-    return energy, samples, fix_times, fix_rooms, log
+    return energy, int(samples), fix_times, fix_rooms, log
 
 
 def _satisfaction_exact(

@@ -185,6 +185,10 @@ def test_05_adaptive_beats_gps_on_energy(ensemble):
 
 
 def test_06_adaptive_matches_gps_on_satisfaction(ensemble):
+    """At each beta, adaptive's mean satisfaction over both alphas' runs is
+    at least gps's. The means pool the alphas: at alpha 0.5 alone, beta 0.2,
+    adaptive's 0.899027 is below gps's 0.903496, while the pooled means
+    are 0.893402 against 0.892688."""
     rows, _ = ensemble
     margins = []
     for beta in ENSEMBLE_BETAS:

@@ -236,6 +236,13 @@ def drawn_run_values(draw):
         "beta": 0.3,
     }
 )
+# Every event of these two runs falls on a whole second, where the loop's
+# floor(t) and the reference's int(t) must pick the trace second that starts
+# there: the first run's 106 samples at a constant 2 m/s, and the second's 83
+# at a velocity that may change every second, so a second picked one too low
+# logs the wrong velocity.
+@example(values={"v_min": 2.0, "v_max": 2.0, "v0": 2.0, "beta": 1.0})
+@example(values={"v_min": 1.0, "v_max": 2.0, "v0": 1.0, "alpha": 1.0, "beta": 1.0, "t1_s": 1})
 def test_event_csv_bytes_match_reference(refsim, values):
     ours, ref = both_configs(refsim, values)
     got = run_unless_refused(ours)

@@ -293,6 +293,9 @@ class TestStepCallContract:
             "on_velocity_sample": result.sample_count,
             "select_method": 0,
         }
+        # The loop counts samples in floats; the counts leave it as ints, so
+        # the summary CSV never shows 312.0.
+        assert type(result.fix_count) is int and type(result.sample_count) is int
 
 
 class TestEventLog:
