@@ -13,8 +13,10 @@ The effective configuration is echoed to stderr before any work runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -240,13 +242,21 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone shows here, not in the flush at exit
+        return code
+    except (ConfigError, OSError) as exc:
+        with contextlib.suppress(BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
+        # A stream whose reader has gone is pointed at os.devnull, so that
+        # the flush at exit neither fails nor prints "Exception ignored".
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except BrokenPipeError:
+                with open(os.devnull, "w") as devnull:
+                    os.dup2(devnull.fileno(), stream.fileno())
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

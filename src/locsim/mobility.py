@@ -4,7 +4,13 @@ A trace stores one velocity value per integer second; velocity is constant
 over [t, t+1). Every ``t1_s`` seconds a fresh acceleration from {-1, 0, +1}
 is drawn uniformly over the choices that keep velocity inside
 [v_min, v_max], so consecutive per-second values never differ by more than
-1 m/s. Position is the exact integral of the piecewise-constant profile.
+1 m/s. The choices go wrong in bands that are not whole numbers, as the
+levels are chained float sums: with v_min = v0 = 1.3 and v_max = 2.5,
+level 2.3 has ``2.3 - 1 == 1.2999999999999998 < v_min``, no admissible
+step, and the trace freezes there (``MobilityParams(40, 1, 1.3, 2.5, 1.3,
+seed)``, seeds 0 to 4). Its fix waits on a benchmark change, as
+``perfbench/refsim`` pins the chained sums. Position is the exact integral
+of the piecewise-constant profile.
 
 Randomness comes from numpy's PCG64 (``np.random.default_rng(seed)``),
 consumed in ascending event-time order exactly as

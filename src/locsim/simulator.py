@@ -331,26 +331,23 @@ def _runs_on_trace(
 
     Each cell's strategy holds the methods its kind uses; its span table
     comes from :func:`event_bounds`. :func:`_event_loop` runs once per cell
-    and one :func:`_satisfaction_exact` call evaluates all the runs; the
-    rows take their seed from the trace.
+    and appends each fix's time and room, once, to two ``array("d")``
+    buffers shared by the runs; a run's fixes end at the buffers' length
+    when its loop returns. One :func:`_satisfaction_exact` call evaluates
+    all the runs from those ends; the rows take their seed from the trace.
     """
-    # The fixes of all the runs, kept as doubles: as lists of Python
-    # floats they would take about four times the memory.
     starts, rooms = array("d"), array("d")
-    lengths: list[int] = []
-    loops: list[tuple[float, int, tuple]] = []
+    loops: list[tuple[float, int, tuple, int]] = []
     for _, cfg, spans in cells:
-        energy, samples, fix_times, fix_rooms, log = _event_loop(cfg, spans, trace, record_events)
-        starts.fromlist(fix_times)
-        rooms.fromlist(fix_rooms)
-        lengths.append(len(fix_times))
-        loops.append((energy, samples, tuple(log)))
-    satisfaction = _satisfaction_exact(np.frombuffer(starts), np.frombuffer(rooms), lengths, trace)
+        energy, samples, log = _event_loop(cfg, spans, trace, record_events, starts, rooms)
+        loops.append((energy, samples, tuple(log), len(starts)))
+    ends = [end for *_, end in loops]
+    satisfaction = _satisfaction_exact(np.frombuffer(starts), np.frombuffer(rooms), ends, trace)
     seed = trace.params.seed
     return [
-        RunResult(kind, cfg.alpha, cfg.beta, seed, energy, sat, fixes, samples, log)
-        for (kind, cfg, _), (energy, samples, log), sat, fixes in zip(
-            cells, loops, satisfaction, lengths
+        RunResult(kind, cfg.alpha, cfg.beta, seed, energy, sat, end - lo, samples, log)
+        for (kind, cfg, _), (energy, samples, log, end), sat, lo in zip(
+            cells, loops, satisfaction, [0, *ends]
         )
     ]
 
@@ -360,14 +357,17 @@ def _event_loop(
     spans: tuple[tuple, ...],
     trace: MotionTrace,
     record_events: bool,
-) -> tuple[float, int, list[float], list[float], list[tuple]]:
+    fix_times: array,
+    fix_rooms: array,
+) -> tuple[float, int, list[tuple]]:
     """Schedule fixes and samples over ``trace``, span by span of ``spans``.
 
     ``cfg`` holds the methods the run may use (one, for a pinned kind), and
-    ``spans`` is the config's span table from :func:`event_bounds`. Returns
-    (energy, samples, fix_times, fix_rooms, log): the total fix energy, the
-    sample count, each fix's time and room, and the event log, empty unless
-    ``record_events``.
+    ``spans`` is the config's span table from :func:`event_bounds`. Each
+    fix's time and room are appended to ``fix_times`` and ``fix_rooms``,
+    ``array("d")`` buffers that may already hold earlier runs' fixes.
+    Returns (energy, samples, log): the total fix energy, the sample count,
+    and the event log, empty unless ``record_events``.
 
     The scheduler is three nested loops over Python floats, one per time
     scale. The outer loop makes one pass per row ``(a_t, bound, plan)`` of
@@ -408,8 +408,6 @@ def _event_loop(
     near = 1.0 - BUDGET_REL_TOL
 
     log: list[tuple] = []
-    fix_times: list[float] = []
-    fix_rooms: list[float] = []
     energy = 0.0
     samples = 0.0  # a float, as is n below: see the docstring
     trigger: Optional[tuple] = None  # a sample calling for a fix is logged after that fix
@@ -471,21 +469,21 @@ def _event_loop(
             if record_events:
                 log.append((t, EVENT_SCHEDULE_CHANGE, None, None, cum[k] + (t - k) * v, v, v_e))
 
-    return energy, int(samples), fix_times, fix_rooms, log
+    return energy, int(samples), log
 
 
 def _satisfaction_exact(
-    span_start: np.ndarray, span_room: np.ndarray, lengths: Sequence[int], trace: MotionTrace
+    span_start: np.ndarray, span_room: np.ndarray, ends: Sequence[int], trace: MotionTrace
 ) -> list[float]:
     """Each run's fraction of [0, duration] where uncertainty stays within the requirement.
 
     The runs share ``trace``. Their spans come concatenated, run after run,
-    and ``lengths`` holds each run's span count. Span i opens with a fix at
-    ``span_start[i]`` (a run's first at t=0) and runs to the next span's
-    start within its run, a run's last one to the horizon. Its room
-    ``span_room[i]`` is the requirement in force minus the fix's method
-    accuracy. Time counts as satisfied while the distance moved since the
-    fix is at most the room, equality included.
+    and ``ends`` holds where each run's spans end (``[n]`` for one run of
+    n). Span i opens with a fix at ``span_start[i]`` (a run's first at
+    t=0) and runs to the next span's start within its run, a run's last
+    one to the horizon. Its room ``span_room[i]`` is the requirement in
+    force minus the fix's method accuracy. Time counts as satisfied while
+    the distance moved since the fix is at most the room, equality included.
 
     The crossings of all the runs are solved in one pass of element-wise
     steps. Each run's violated time is then ``np.sum`` over its own
@@ -494,20 +492,13 @@ def _satisfaction_exact(
     is bit for bit the one of the run evaluated by itself.
     """
     duration = float(trace.params.duration_s)
-    ends = np.cumsum(lengths)
-    span_end = np.empty_like(span_start)
-    span_end[:-1] = span_start[1:]
-    span_end[ends - 1] = duration
+    span_end = np.append(span_start[1:], duration)
+    span_end[np.subtract(ends, 1)] = duration
     crossings = times_at_positions(trace, positions_at(trace, span_start) + span_room)
     crossings = np.where(span_room < 0, span_start, crossings)
     gaps = span_end - np.clip(crossings, span_start, span_end)
-    satisfaction: list[float] = []
-    lo = 0
-    for hi in ends.tolist():
-        violated = float(np.sum(gaps[lo:hi]))
-        satisfaction.append(1.0 if violated <= 0.0 else (duration - violated) / duration)
-        lo = hi
-    return satisfaction
+    violated = [float(np.sum(gaps[lo:hi])) for lo, hi in zip([0, *ends], ends)]
+    return [1.0 if v <= 0.0 else (duration - v) / duration for v in violated]
 
 
 @dataclass(frozen=True)
@@ -601,17 +592,9 @@ def sweep_means(rows: Sequence[RunResult]) -> list[SweepMean]:
         except OverflowError:  # the sum leaves the float range, the mean cannot
             scale = 2.0 ** -n.bit_length()  # 1 / 2**k with 2**k > n: a finite sum
             energy = math.fsum(e * scale for e in energies) / n / scale
-        means.append(
-            SweepMean(
-                kind,
-                alpha,
-                beta,
-                energy,
-                math.fsum(r.satisfaction for r in cell) / n,
-                math.fsum(r.fix_count for r in cell) / n,
-                math.fsum(r.sample_count for r in cell) / n,
-            )
-        )
+        fields = ("satisfaction", "fix_count", "sample_count")
+        rest = (math.fsum(getattr(r, f) for r in cell) / n for f in fields)
+        means.append(SweepMean(kind, alpha, beta, energy, *rest))
     return means
 
 

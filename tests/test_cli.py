@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import os
 import subprocess
 import sys
 import tempfile
@@ -596,3 +597,33 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1] == GOLDEN_SEED7_ROW
+
+    @pytest.mark.parametrize(
+        ("argv", "stderr_gone"),
+        [
+            (["simulate", "--duration", "60"], False),
+            (["simulate", "--duration", "60"], True),
+            (["sweep", "--duration", "60", "--out", "{tmp}/grid.csv"], True),
+        ],
+        ids=["simulate-stdout", "simulate-both", "sweep-both"],
+    )
+    def test_gone_reader_exits_1_without_traceback(self, tmp_path, argv, stderr_gone):
+        # With PYTHONUNBUFFERED unset, the summary waits in stdout's buffer
+        # and a reader that has gone shows only when it is flushed.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "locsim", *(a.format(tmp=tmp_path) for a in argv)],
+                stdout=write, stderr=write if stderr_gone else subprocess.PIPE,
+                env=env, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        if not stderr_gone:
+            err = proc.stderr.decode()
+            assert "Exception ignored" not in err
+            assert "Traceback" not in err
+            assert err.splitlines()[-1] == "error: [Errno 32] Broken pipe"

@@ -5,6 +5,7 @@ import io
 import math
 import random
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -372,6 +373,24 @@ class TestEventBounds:
             result = run(cfg, record_events=False)
             assert result.fix_count <= fixes and result.sample_count <= samples
             assert fixes + samples < MAX_EVENTS / 1000
+
+    def test_an_unrecorded_run_keeps_at_most_80_bytes_per_fix(self):
+        # No method beats 5 m, so the run re-fixes every 0.1 s: 10^5 fixes,
+        # each stored once as two doubles plus the evaluation's temporaries.
+        cfg = build_simulation_config(
+            {**DEFAULTS, "schedule": "0:5", "t_min_refix_s": 0.1, "duration_s": 10_000}
+        )
+        run(cfg, record_events=False)  # fills the span-table cache
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            result = run(cfg, record_events=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.fix_count == 100_000
+        assert (peak - before) / result.fix_count <= 80
 
     def test_recorded_run_is_refused_above_the_log_limit(self, monkeypatch):
         monkeypatch.setattr(simulator, "generate_trace", no_trace)

@@ -8,6 +8,7 @@ that run evaluated alone.
 """
 
 import random
+from array import array
 from dataclasses import replace
 from itertools import product
 
@@ -130,8 +131,9 @@ def test_each_slice_equals_its_run_evaluated_alone(seed):
     for coords in product(("adaptive", "fixed:gps", "fixed:wifi"), (0.3, 0.5), (0.1, 0.35, 1.0)):
         cell = cell_config(base, *coords)
         _, _, spans = simulator.event_bounds(cell)
-        _, _, times, rooms, _ = _event_loop(cell.loop_strategy, spans, trace, False)
-        runs.append((np.array(times), np.array(rooms)))
+        times, rooms = array("d"), array("d")
+        _event_loop(cell.loop_strategy, spans, trace, False, times, rooms)
+        runs.append((np.frombuffer(times), np.frombuffer(rooms)))
     times, rooms = runs[0]
     runs += [(times[:n], rooms[:n]) for n in (1, 7, 100)]
     assert min(len(t) for t, _ in runs) < 128 < max(len(t) for t, _ in runs)
@@ -139,7 +141,7 @@ def test_each_slice_equals_its_run_evaluated_alone(seed):
         got = _satisfaction_exact(
             np.concatenate([t for t, _ in order]),
             np.concatenate([r for _, r in order]),
-            [len(t) for t, _ in order],
+            np.cumsum([len(t) for t, _ in order]).tolist(),
             trace,
         )
         assert got == [satisfaction_alone(t, r, trace) for t, r in order]
