@@ -169,25 +169,20 @@ def cmd_reproduce_figures(args: argparse.Namespace) -> int:
     means = {(m.kind, m.alpha, m.beta): m for m in sweep_means(rows)}
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    by_field: dict[str, list[list[tuple]]] = {}  # per figure of a field, (gps, ours) per beta
     for name, alpha, field in FIGURES:
-        pairs = [
-            tuple(getattr(means[kind, alpha, b], field) for kind in FIGURE_KINDS)
-            for b in FIGURE_BETAS
-        ]
-        by_field.setdefault(field, []).append(pairs)
+        pairs = [[getattr(means[k, alpha, b], field) for k in FIGURE_KINDS] for b in FIGURE_BETAS]
         text = "".join(f"{b:.6f},{g:.6f},{o:.6f}\n" for b, (g, o) in zip(FIGURE_BETAS, pairs))
         path = out_dir / f"{name}.csv"
         path.write_text("beta,gps_value,ours_value\n" + text, newline="")
         sys.stderr.write(f"wrote {path}\n")
     # Per beta: the energy ratios ours/gps, then the satisfaction
     # differences ours-gps, each in the alpha order of FIGURES.
-    columns = zip(FIGURE_BETAS, *by_field["total_energy_mJ"], *by_field["satisfaction"])
     lines = ["beta   energy ours/gps (a=.5, a=.3)   satisfaction ours-gps (a=.5, a=.3)"]
-    for beta, (g1, o1), (g2, o2), (g3, o3), (g4, o4) in columns:
-        lines.append(
-            f"{beta:4.1f}   {o1 / g1:11.3f} {o2 / g2:6.3f}   {o3 - g3:+17.4f} {o4 - g4:+7.4f}"
-        )
+    for b in FIGURE_BETAS:
+        (g1, o1), (g2, o2) = ([means[k, a, b] for k in FIGURE_KINDS] for a in alphas)
+        e1, e2 = o1.total_energy_mJ / g1.total_energy_mJ, o2.total_energy_mJ / g2.total_energy_mJ
+        s1, s2 = o1.satisfaction - g1.satisfaction, o2.satisfaction - g2.satisfaction
+        lines.append(f"{b:4.1f}   {e1:11.3f} {e2:6.3f}   {s1:+17.4f} {s2:+7.4f}")
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -242,15 +237,18 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
+        for name in ("stdout", "stderr"):
+            if getattr(sys, name) is None:  # its descriptor was closed at start-up
+                raise OSError(f"{name} is closed")
         code = args.func(args)
         sys.stdout.flush()  # a reader that has gone shows here, not in the flush at exit
         return code
     except (ConfigError, OSError) as exc:
-        with contextlib.suppress(BrokenPipeError):
+        with contextlib.suppress(BrokenPipeError):  # goes to stdout when stderr is None
             print(f"error: {exc}", file=sys.stderr)
         # A stream whose reader has gone is pointed at os.devnull, so that
         # the flush at exit neither fails nor prints "Exception ignored".
-        for stream in (sys.stdout, sys.stderr):
+        for stream in filter(None, (sys.stdout, sys.stderr)):
             try:
                 stream.flush()
             except BrokenPipeError:

@@ -21,7 +21,7 @@ from array import array
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import product
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -75,8 +75,6 @@ EVENT_FIX = "fix"
 EVENT_SAMPLE = "sample"
 EVENT_SCHEDULE_CHANGE = "schedule_change"
 
-SUMMARY_CSV_HEADER = "kind,alpha,beta,seed,total_energy_mJ,satisfaction,fix_count,sample_count"
-MEAN_CSV_HEADER = "kind,alpha,beta,total_energy_mJ,satisfaction,fix_count,sample_count"
 EVENT_CSV_HEADER = "time_s,kind,method,energy_mJ,position_m,velocity_mps,ve_mps"
 
 
@@ -156,9 +154,8 @@ class SimulationConfig:
         object.__setattr__(self, "loop_strategy", cfg)
 
 
-@dataclass(frozen=True)
-class RunResult:
-    """One run's summary-CSV row, its coordinates taken from its config, then its event log.
+class RunResult(NamedTuple):
+    """One run's summary-CSV row in column order (coordinates from its config), then its log.
 
     ``log`` holds one plain tuple per event: (time_s, kind, method,
     energy_mJ, position_m, velocity_mps, v_e_mps). There ``kind`` is one of
@@ -179,6 +176,22 @@ class RunResult:
     log: tuple[tuple, ...] = ()
 
 
+class SweepMean(NamedTuple):
+    """One (kind, alpha, beta) cell's means over its seeds: a mean-CSV row."""
+
+    kind: str
+    alpha: float
+    beta: float
+    total_energy_mJ: float
+    satisfaction: float
+    fix_count: float
+    sample_count: float
+
+
+SUMMARY_CSV_HEADER = ",".join(RunResult._fields[:-1])
+MEAN_CSV_HEADER = ",".join(SweepMean._fields)
+
+
 def on_requirement_change(
     entries: Sequence[tuple[float, float]], i: int
 ) -> tuple[float, float]:
@@ -197,6 +210,7 @@ MAX_EVENTS = 10**8
 # The most a run that records its event log may be allowed: a logged event
 # keeps about 200 B, so this caps the log near 2 GB (plus one written block).
 MAX_LOGGED_EVENTS = 10**7
+_GAP_CHUNK = 8_192  # spans per crossing pass of _satisfaction_exact, to bound its temporaries
 
 
 def _steps(span: float, step: float, ulp: float) -> float:
@@ -389,17 +403,20 @@ def _event_loop(
     nothing happens at or after the horizon.
 
     Each event is logged as a plain tuple in :class:`RunResult` log order,
-    its position computed in the loop as ``cum[k] + (t - k) * v``: the float
-    expression of :func:`~locsim.mobility.positions_at`. Here the trace
-    second ``k = math.floor(t)`` is taken once per event, where the event's
-    velocity ``vel[k]`` is looked up; a fix reuses the ``k`` of the event
-    that set its time (t = 0, the sample that called for it, a change, or a
-    fallback re-fix). Event times are never negative, so this is the second
-    ``int(t)`` gives; ``int(x)`` is a type call, which CPython 3.11 does not
-    specialize. The sample counters ``n`` and ``samples`` are floats for the
-    same reason, so the sample step does only float arithmetic; they are
-    exact below 2**53, far above :data:`MAX_EVENTS`, and ``samples`` is
-    returned as an int. :func:`_runs_on_trace` is the loop's one caller.
+    a sample where it is taken; a fix goes before the last row if that is a
+    sample, the one that called for it (any other is followed by a sample or
+    ends its span). Each position is computed as ``cum[k] + (t - k) * v``,
+    the float expression of :func:`~locsim.mobility.positions_at`, with the
+    trace second ``k = math.floor(t)`` taken once per event, where the
+    event's velocity ``vel[k]`` is looked up; a fix reuses the ``k`` of the
+    event that set its time (t = 0, the sample that called for it, a change,
+    or a fallback re-fix). Event times are never negative, so this is the
+    second ``int(t)`` gives; ``int(x)`` is a type call, which CPython 3.11
+    does not specialize. The sample counters ``n`` and ``samples`` are
+    floats for the same reason, so the sample step does only float
+    arithmetic; they are exact below 2**53, far above :data:`MAX_EVENTS`,
+    and ``samples`` is returned as an int. :func:`_runs_on_trace` is the
+    loop's one caller.
     """
     duration = float(trace.params.duration_s)
     vel = trace.velocity_list  # every event second floor(t) is < duration, so in range
@@ -410,7 +427,6 @@ def _event_loop(
     log: list[tuple] = []
     energy = 0.0
     samples = 0.0  # a float, as is n below: see the docstring
-    trigger: Optional[tuple] = None  # a sample calling for a fix is logged after that fix
 
     t = 0.0
     k = 0  # floor(t), shared by the velocity lookup and the logged position
@@ -425,10 +441,11 @@ def _event_loop(
             fix_times.append(t)
             fix_rooms.append(room)
             if record_events:
-                log.append((t, EVENT_FIX, method, method.energy_mJ, cum[k] + (t - k) * v, v, v_e))
-                if trigger is not None:
-                    log.append(trigger)
-                    trigger = None
+                row = (t, EVENT_FIX, method, method.energy_mJ, cum[k] + (t - k) * v, v, v_e)
+                if log and log[-1][1] == EVENT_SAMPLE:  # the sample that called for this fix
+                    log.insert(-1, row)
+                else:
+                    log.append(row)
 
             if room > 0.0:
                 wait = room / v_e * beta
@@ -440,20 +457,18 @@ def _event_loop(
                     k = math.floor(t_next)
                     v = vel[k]
                     v_e = on_velocity_sample(v_e, v, alpha)
-                    r_i += v_e * wait
-                    n += 1.0
-                    if not r_i < limit:
-                        break
                     if record_events:
                         log.append(
                             (t_next, EVENT_SAMPLE, None, None, cum[k] + (t_next - k) * v, v, v_e)
                         )
+                    r_i += v_e * wait
+                    n += 1.0
+                    if not r_i < limit:
+                        break
                     t_next = t + (n + 1.0) * wait
                 samples += n
                 if not t_next < bound:
                     break
-                if record_events:
-                    trigger = (t_next, EVENT_SAMPLE, None, None, cum[k] + (t_next - k) * v, v, v_e)
             else:
                 t_next = t + t_min
                 if not t_next < bound:
@@ -485,31 +500,23 @@ def _satisfaction_exact(
     force minus the fix's method accuracy. Time counts as satisfied while
     the distance moved since the fix is at most the room, equality included.
 
-    The crossings of all the runs are solved in one pass of element-wise
-    steps. Each run's violated time is then ``np.sum`` over its own
-    contiguous slice of ``span_end - crossings``, which adds the same values
-    in the same order as a sum over that run alone, so every satisfaction
-    is bit for bit the one of the run evaluated by itself.
+    The crossings are solved in element-wise steps, :data:`_GAP_CHUNK`
+    spans at a time, each chunk turning its span ends into gaps (end minus
+    clipped crossing) in place. Each run's violated time is then
+    ``np.sum`` over its own contiguous slice of the gaps, which adds the
+    same values in the same order as a sum over that run alone, so every
+    satisfaction is bit for bit the one of the run evaluated by itself.
     """
     duration = float(trace.params.duration_s)
-    span_end = np.append(span_start[1:], duration)
-    span_end[np.subtract(ends, 1)] = duration
-    crossings = times_at_positions(trace, positions_at(trace, span_start) + span_room)
-    crossings = np.where(span_room < 0, span_start, crossings)
-    gaps = span_end - np.clip(crossings, span_start, span_end)
+    gaps = np.append(span_start[1:], duration)  # each span's end, until its chunk's pass
+    gaps[np.subtract(ends, 1)] = duration
+    for lo in range(0, len(gaps), _GAP_CHUNK):
+        start, room, end = (a[lo : lo + _GAP_CHUNK] for a in (span_start, span_room, gaps))
+        crossings = times_at_positions(trace, positions_at(trace, start) + room)
+        crossings = np.where(room < 0, start, crossings)
+        np.subtract(end, np.clip(crossings, start, end), out=end)
     violated = [float(np.sum(gaps[lo:hi])) for lo, hi in zip([0, *ends], ends)]
     return [1.0 if v <= 0.0 else (duration - v) / duration for v in violated]
-
-
-@dataclass(frozen=True)
-class SweepMean:
-    kind: str
-    alpha: float
-    beta: float
-    total_energy_mJ: float
-    satisfaction: float
-    fix_count: float
-    sample_count: float
 
 
 # What :func:`sweep` charges each run against :data:`MAX_EVENTS`, at least.
@@ -586,15 +593,13 @@ def sweep_means(rows: Sequence[RunResult]) -> list[SweepMean]:
     means: list[SweepMean] = []
     for (kind, alpha, beta), cell in grouped.items():
         n = len(cell)
-        energies = [r.total_energy_mJ for r in cell]
+        energies, *rest = list(zip(*cell))[4:8]  # total_energy_mJ to sample_count
         try:
             energy = math.fsum(energies) / n
         except OverflowError:  # the sum leaves the float range, the mean cannot
             scale = 2.0 ** -n.bit_length()  # 1 / 2**k with 2**k > n: a finite sum
             energy = math.fsum(e * scale for e in energies) / n / scale
-        fields = ("satisfaction", "fix_count", "sample_count")
-        rest = (math.fsum(getattr(r, f) for r in cell) / n for f in fields)
-        means.append(SweepMean(kind, alpha, beta, energy, *rest))
+        means.append(SweepMean(kind, alpha, beta, energy, *(math.fsum(c) / n for c in rest)))
     return means
 
 
@@ -604,12 +609,7 @@ _MEAN_ROW = "%s,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f\n"
 
 
 def summary_to_csv(rows: Sequence[RunResult]) -> str:
-    return SUMMARY_CSV_HEADER + "\n" + "".join(
-        _SUMMARY_ROW
-        % (r.kind, r.alpha, r.beta, r.seed, r.total_energy_mJ, r.satisfaction, r.fix_count,
-           r.sample_count)
-        for r in rows
-    )
+    return SUMMARY_CSV_HEADER + "\n" + "".join(_SUMMARY_ROW % r[:-1] for r in rows)
 
 
 def write_summary_csv(rows: Sequence[RunResult], path) -> None:
@@ -618,12 +618,7 @@ def write_summary_csv(rows: Sequence[RunResult], path) -> None:
 
 
 def means_to_csv(means: Sequence[SweepMean]) -> str:
-    return MEAN_CSV_HEADER + "\n" + "".join(
-        _MEAN_ROW
-        % (m.kind, m.alpha, m.beta, m.total_energy_mJ, m.satisfaction, m.fix_count,
-           m.sample_count)
-        for m in means
-    )
+    return MEAN_CSV_HEADER + "\n" + "".join(_MEAN_ROW % m for m in means)
 
 
 def write_mean_csv(means: Sequence[SweepMean], path) -> None:

@@ -627,3 +627,26 @@ class TestEntryPoints:
             assert "Exception ignored" not in err
             assert "Traceback" not in err
             assert err.splitlines()[-1] == "error: [Errno 32] Broken pipe"
+
+    @pytest.mark.parametrize(
+        ("argv", "closed"),
+        [
+            (["simulate", "--duration", "60"], 1),
+            (["sweep", "--duration", "60", "--out", "{tmp}/grid.csv"], 1),
+            (["simulate", "--duration", "60"], 2),
+        ],
+        ids=["simulate-stdout", "sweep-stdout", "simulate-stderr"],
+    )
+    def test_closed_stream_exits_1_without_traceback(self, tmp_path, argv, closed):
+        # A descriptor closed at start-up leaves its sys stream None; the
+        # error goes to the other stream.
+        proc = subprocess.run(
+            ["sh", "-c", f'exec "$@" {closed}>&-', "sh", sys.executable, "-m", "locsim",
+             *(a.format(tmp=tmp_path) for a in argv)],
+            capture_output=True, timeout=60,
+        )
+        other = (proc.stderr if closed == 1 else proc.stdout).decode()
+        assert proc.returncode == 1
+        assert "Traceback" not in other
+        assert other == f"error: {'stdout' if closed == 1 else 'stderr'} is closed\n"
+        assert not list(tmp_path.iterdir())  # nothing ran

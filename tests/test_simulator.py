@@ -326,7 +326,7 @@ class TestEventLog:
         only = run(build_simulation_config({**values, "methods": f"{method.name}:"
                                             f"{method.accuracy_m!r}:{method.energy_mJ!r}"}))
         assert only.kind == "adaptive"
-        assert replace(pinned, kind="adaptive") == only
+        assert pinned._replace(kind="adaptive") == only
 
     def test_positions_are_those_of_positions_at(self):
         # The default schedule gives samples, forced fixes and changes; under
@@ -374,9 +374,10 @@ class TestEventBounds:
             assert result.fix_count <= fixes and result.sample_count <= samples
             assert fixes + samples < MAX_EVENTS / 1000
 
-    def test_an_unrecorded_run_keeps_at_most_80_bytes_per_fix(self):
+    def test_an_unrecorded_run_keeps_at_most_48_bytes_per_fix(self):
         # No method beats 5 m, so the run re-fixes every 0.1 s: 10^5 fixes,
-        # each stored once as two doubles plus the evaluation's temporaries.
+        # each stored once as two doubles, plus one double per span in the
+        # evaluation and its chunk's temporaries.
         cfg = build_simulation_config(
             {**DEFAULTS, "schedule": "0:5", "t_min_refix_s": 0.1, "duration_s": 10_000}
         )
@@ -390,7 +391,7 @@ class TestEventBounds:
         finally:
             tracemalloc.stop()
         assert result.fix_count == 100_000
-        assert (peak - before) / result.fix_count <= 80
+        assert (peak - before) / result.fix_count <= 48
 
     def test_recorded_run_is_refused_above_the_log_limit(self, monkeypatch):
         monkeypatch.setattr(simulator, "generate_trace", no_trace)
@@ -602,7 +603,7 @@ class TestSweep:
     def test_mean_energy_near_the_float_maximum(self):
         rows = sweep(self.base(), [0.5], [1.0], [1, 2, 3], ["adaptive"])
         for energy in (1e308, sys.float_info.max):
-            huge = [replace(r, total_energy_mJ=energy) for r in rows]
+            huge = [r._replace(total_energy_mJ=energy) for r in rows]
             assert sweep_means(huge)[0].total_energy_mJ == energy
 
 

@@ -119,12 +119,14 @@ def satisfaction_alone(span_start, span_room, trace):
     return 1.0 if violated <= 0.0 else (duration - violated) / duration
 
 
-@pytest.mark.parametrize("seed", [1, 2, 17])
-def test_each_slice_equals_its_run_evaluated_alone(seed):
-    # fixed:wifi has a room of 0 under the last requirement (50 m). Prefixes
-    # of a run are span sets too, so with them the runs have from 1 to over
-    # 500 spans: the sums cross numpy's pairwise blocks of 128, and the
-    # orders below start them at many offsets of the concatenation.
+def seed_runs(seed):
+    """The default trace of ``seed`` and the fix times and rooms of 18 cells'
+    runs over it, then of three prefixes of the first run.
+
+    fixed:wifi has a room of 0 under the last requirement (50 m). Prefixes
+    of a run are span sets too, so with them the runs have from 1 to over
+    500 spans.
+    """
     base = build_simulation_config(dict(DEFAULTS, seed=seed))
     trace = generate_trace(base.mobility)
     runs = []
@@ -135,7 +137,14 @@ def test_each_slice_equals_its_run_evaluated_alone(seed):
         _event_loop(cell.loop_strategy, spans, trace, False, times, rooms)
         runs.append((np.frombuffer(times), np.frombuffer(rooms)))
     times, rooms = runs[0]
-    runs += [(times[:n], rooms[:n]) for n in (1, 7, 100)]
+    return trace, runs + [(times[:n], rooms[:n]) for n in (1, 7, 100)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 17])
+def test_each_slice_equals_its_run_evaluated_alone(seed):
+    # The sums cross numpy's pairwise blocks of 128, and the orders below
+    # start them at many offsets of the concatenation.
+    trace, runs = seed_runs(seed)
     assert min(len(t) for t, _ in runs) < 128 < max(len(t) for t, _ in runs)
     for order in (runs, runs[::-1], random.Random(seed).sample(runs, len(runs))):
         got = _satisfaction_exact(
@@ -146,3 +155,17 @@ def test_each_slice_equals_its_run_evaluated_alone(seed):
         )
         assert got == [satisfaction_alone(t, r, trace) for t, r in order]
         assert got == [_satisfaction_exact(t, r, [len(t)], trace)[0] for t, r in order]
+
+
+@pytest.mark.parametrize("seed", [1, 17])
+def test_gaps_made_in_small_chunks_change_no_satisfaction(monkeypatch, seed):
+    # Chunks of 7 spans end inside runs and across their boundaries.
+    trace, runs = seed_runs(seed)
+    times = np.concatenate([t for t, _ in runs])
+    rooms = np.concatenate([r for _, r in runs])
+    ends = np.cumsum([len(t) for t, _ in runs]).tolist()
+    monkeypatch.setattr(simulator, "_GAP_CHUNK", len(times))
+    whole = _satisfaction_exact(times, rooms, ends, trace)
+    monkeypatch.setattr(simulator, "_GAP_CHUNK", 7)
+    assert _satisfaction_exact(times, rooms, ends, trace) == whole
+    assert whole == [satisfaction_alone(t, r, trace) for t, r in runs]
