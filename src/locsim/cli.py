@@ -6,14 +6,14 @@ Commands:
   reproduce-figures  the paper's figures 2-5 (``FIGURES``) as CSVs, plus a
                      per-beta digest of them on stdout
 
-Exit codes: 0 success, 2 configuration error, 1 runtime or I/O error.
-The effective configuration is echoed to stderr before any work runs.
+Exit codes: 0 success, 2 configuration error, 1 runtime or I/O error (a
+closed, read-only or full stream, or a gone reader, reported on the other
+stream). The effective configuration is echoed to stderr before any work.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import math
 import os
@@ -230,28 +230,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+        return exc.code if isinstance(exc.code, int) else 2
     try:
         for name in ("stdout", "stderr"):
             if getattr(sys, name) is None:  # its descriptor was closed at start-up
                 raise OSError(f"{name} is closed")
         code = args.func(args)
-        sys.stdout.flush()  # a reader that has gone shows here, not in the flush at exit
+        sys.stdout.flush()  # a stream that fails shows here, not in the flush at exit
+        sys.stderr.flush()
         return code
     except (ConfigError, OSError) as exc:
-        with contextlib.suppress(BrokenPipeError):  # goes to stdout when stderr is None
-            print(f"error: {exc}", file=sys.stderr)
-        # A stream whose reader has gone is pointed at os.devnull, so that
-        # the flush at exit neither fails nor prints "Exception ignored".
-        for stream in filter(None, (sys.stdout, sys.stderr)):
+        # The error goes to the first stream that takes it, stderr first. A stream
+        # that fails is pointed at os.devnull, so the flush at exit cannot fail.
+        message = f"error: {exc}\n"
+        for stream in filter(None, (sys.stderr, sys.stdout)):
             try:
+                stream.write(message)
                 stream.flush()
-            except BrokenPipeError:
+                message = ""
+            except OSError:
                 with open(os.devnull, "w") as devnull:
                     os.dup2(devnull.fileno(), stream.fileno())
         return 2 if isinstance(exc, ConfigError) else 1

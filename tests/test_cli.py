@@ -1,6 +1,7 @@
 """Command-line interface: argument parsing, exit codes, output formats."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import os
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import locsim.simulator as simulator
 from locsim.cli import FIGURES, MAX_LIST_VALUES, main, parse_float_list, parse_seed_list
-from locsim.config import DEFAULTS, build_simulation_config
+from locsim.config import DEFAULTS, build_simulation_config, resolve_config
 from locsim.errors import ConfigError
 from locsim.mobility import MAX_DURATION_S, generate_trace
 from locsim.simulator import MAX_EVENTS, MAX_LOGGED_EVENTS, event_bounds, sweep, sweep_means
@@ -23,12 +24,25 @@ from locsim.simulator import MAX_EVENTS, MAX_LOGGED_EVENTS, event_bounds, sweep,
 SUMMARY_HEADER = "kind,alpha,beta,seed,total_energy_mJ,satisfaction,fix_count,sample_count"
 GOLDEN_SEED7_ROW = "adaptive,0.500000,1.000000,7,149185.000000,0.655144,230,322"
 DEFAULT_SEED1_ROW = "adaptive,0.500000,1.000000,1,162550.000000,0.686712,219,312"
+SIMULATE_60 = ["simulate", "--duration", "60"]
+SWEEP_60 = ["sweep", "--duration", "60", "--out", "{tmp}/grid.csv"]
+EBADF_LINE = f"error: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}"
+ENOSPC_LINE = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_redirected(tmp_path, argv, redirect):
+    """``python -m locsim argv`` under the shell redirection ``redirect``."""
+    return subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "locsim",
+         *(a.format(tmp=tmp_path) for a in argv)],
+        capture_output=True, timeout=60,
+    )
 
 
 def cap_address_space():
@@ -145,6 +159,20 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert err == message + "\n"
+
+    @pytest.mark.parametrize("name", ["a,b", ""], ids=["comma", "empty"])
+    def test_invalid_method_name_exits_2(self, tmp_path, capsys, name):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"methods = {name}:10:5\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == f"error: invalid method name {name!r}"
+
+    def test_resolve_config_refuses_an_unknown_key(self):
+        # The CLI passes only DEFAULTS keys; the check guards library callers.
+        with pytest.raises(ConfigError, match="unknown config key 'speed'"):
+            resolve_config({"speed": 1})
 
     def test_non_finite_method_accuracy_exits_2_without_traceback(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -629,24 +657,58 @@ class TestEntryPoints:
             assert err.splitlines()[-1] == "error: [Errno 32] Broken pipe"
 
     @pytest.mark.parametrize(
-        ("argv", "closed"),
+        ("argv", "redirect", "last"),
         [
-            (["simulate", "--duration", "60"], 1),
-            (["sweep", "--duration", "60", "--out", "{tmp}/grid.csv"], 1),
-            (["simulate", "--duration", "60"], 2),
+            (SIMULATE_60, "1>&-", "error: stdout is closed"),
+            (SWEEP_60, "1>&-", "error: stdout is closed"),
+            (SIMULATE_60, "2>&-", "error: stderr is closed"),
+            (SIMULATE_60, "2</dev/null", EBADF_LINE),
+            (SIMULATE_60, "2>/dev/full", ENOSPC_LINE),
+            (SWEEP_60, "2</dev/null", EBADF_LINE),
+            (SWEEP_60, "2>/dev/full", ENOSPC_LINE),
+            (SIMULATE_60, "1</dev/null", EBADF_LINE),
+            (SIMULATE_60, "1>/dev/full", ENOSPC_LINE),
         ],
-        ids=["simulate-stdout", "sweep-stdout", "simulate-stderr"],
+        ids=[
+            "simulate-stdout", "sweep-stdout", "simulate-stderr",
+            "simulate-stderr-readonly", "simulate-stderr-full",
+            "sweep-stderr-readonly", "sweep-stderr-full",
+            "simulate-stdout-readonly", "simulate-stdout-full",
+        ],
     )
-    def test_closed_stream_exits_1_without_traceback(self, tmp_path, argv, closed):
-        # A descriptor closed at start-up leaves its sys stream None; the
-        # error goes to the other stream.
-        proc = subprocess.run(
-            ["sh", "-c", f'exec "$@" {closed}>&-', "sh", sys.executable, "-m", "locsim",
-             *(a.format(tmp=tmp_path) for a in argv)],
-            capture_output=True, timeout=60,
-        )
-        other = (proc.stderr if closed == 1 else proc.stdout).decode()
+    def test_closed_stream_exits_1_without_traceback(self, tmp_path, argv, redirect, last):
+        # A stream that is closed, read-only or full is an I/O error; the
+        # error line goes to the other stream.
+        proc = run_redirected(tmp_path, argv, redirect)
+        other = (proc.stderr if redirect.startswith("1") else proc.stdout).decode()
         assert proc.returncode == 1
         assert "Traceback" not in other
-        assert other == f"error: {'stdout' if closed == 1 else 'stderr'} is closed\n"
-        assert not list(tmp_path.iterdir())  # nothing ran
+        assert other.splitlines()[-1] == last
+        if redirect.endswith("&-"):
+            # A descriptor closed at start-up leaves its sys stream None,
+            # and nothing runs, not even the config echo.
+            assert other == last + "\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("redirect", ["1</dev/null", "1>/dev/full"], ids=["readonly", "full"])
+    def test_sweep_exits_0_with_a_stdout_it_never_writes(self, tmp_path, redirect):
+        proc = run_redirected(tmp_path, SWEEP_60, redirect)
+        assert proc.returncode == 0
+        assert proc.stderr.decode().splitlines()[-1].startswith("wrote 1 rows")
+        assert (tmp_path / "grid_mean.csv").exists()
+
+    @pytest.mark.parametrize("name", ["stdout", "stderr"])
+    @pytest.mark.parametrize("mode", ["r", "w"], ids=["readonly", "full"])
+    def test_failed_stream_in_process_returns_1(self, tmp_path, capsys, monkeypatch, name, mode):
+        readonly = tmp_path / "stream.txt"
+        readonly.touch()
+        with (
+            open(readonly if mode == "r" else "/dev/full", mode) as stream,
+            monkeypatch.context() as patch,
+        ):
+            patch.setattr(sys, name, stream)
+            code = main(SIMULATE_60)
+        assert code == 1
+        captured = capsys.readouterr()
+        other = captured.err if name == "stdout" else captured.out
+        assert other.splitlines()[-1] == ("error: not writable" if mode == "r" else ENOSPC_LINE)
