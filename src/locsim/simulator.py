@@ -345,18 +345,20 @@ def _runs_on_trace(
 
     Each cell's strategy holds the methods its kind uses; its span table
     comes from :func:`event_bounds`. :func:`_event_loop` runs once per cell
-    and appends each fix's time and room, once, to two ``array("d")``
-    buffers shared by the runs; a run's fixes end at the buffers' length
-    when its loop returns. One :func:`_satisfaction_exact` call evaluates
-    all the runs from those ends; the rows take their seed from the trace.
+    and appends to buffers shared by the runs; a run's fixes end at the
+    length of ``starts`` when its loop returns. The rooms are expanded to
+    one per fix, and one :func:`_satisfaction_exact` call evaluates all the
+    runs from those ends; the rows take their seed from the trace.
     """
-    starts, rooms = array("d"), array("d")
+    starts, rooms, room_at = array("d"), array("d"), array("q")
     loops: list[tuple[float, int, tuple, int]] = []
     for _, cfg, spans in cells:
-        energy, samples, log = _event_loop(cfg, spans, trace, record_events, starts, rooms)
+        energy, samples, log = _event_loop(cfg, spans, trace, record_events, starts, rooms, room_at)
         loops.append((energy, samples, tuple(log), len(starts)))
     ends = [end for *_, end in loops]
-    satisfaction = _satisfaction_exact(np.frombuffer(starts), np.frombuffer(rooms), ends, trace)
+    room_at.append(len(starts))
+    fix_rooms = np.repeat(np.frombuffer(rooms), np.diff(np.frombuffer(room_at, np.int64)))
+    satisfaction = _satisfaction_exact(np.frombuffer(starts), fix_rooms, ends, trace)
     seed = trace.params.seed
     return [
         RunResult(kind, cfg.alpha, cfg.beta, seed, energy, sat, end - lo, samples, log)
@@ -372,14 +374,17 @@ def _event_loop(
     trace: MotionTrace,
     record_events: bool,
     fix_times: array,
-    fix_rooms: array,
+    rooms: array,
+    room_at: array,
 ) -> tuple[float, int, list[tuple]]:
     """Schedule fixes and samples over ``trace``, span by span of ``spans``.
 
     ``cfg`` holds the methods the run may use (one, for a pinned kind), and
     ``spans`` is the config's span table from :func:`event_bounds`. Each
-    fix's time and room are appended to ``fix_times`` and ``fix_rooms``,
-    ``array("d")`` buffers that may already hold earlier runs' fixes.
+    fix's time is appended to ``fix_times``; its room to ``rooms``, and its
+    index in ``fix_times`` to ``room_at``, only when the room differs from
+    the previous fix's in this run (so always at a run's first fix). These
+    ``array`` buffers may already hold earlier runs' fixes.
     Returns (energy, samples, log): the total fix energy, the sample count,
     and the event log, empty unless ``record_events``.
 
@@ -393,7 +398,7 @@ def _event_loop(
     method, or selects one at this ``v_e`` when there is no plan. The epoch
     is timed from the room (requirement minus method accuracy). The inner
     loop samples a positive room every ``wait = room / v_e * beta``: each
-    sample calls :func:`~locsim.strategy.on_velocity_sample`, the one EWMA,
+    sample calls :func:`~locsim.strategy.on_velocity_sample`, the EWMA,
     once and advances the distance estimate ``r_i`` by ``v_e * wait``, and
     the sample at which ``r_i`` reaches the room calls for the next fix at
     that same instant. A room <= 0, where no method beats the requirement,
@@ -432,14 +437,18 @@ def _event_loop(
     k = 0  # floor(t), shared by the velocity lookup and the logged position
     v = vel[0]
     v_e: Optional[float] = None
+    last_room = math.nan  # unequal to every room, so the first fix records its own
     for a_t, bound, plan in spans:  # one pass per requirement span
         while True:  # one pass per epoch
             # A fix at t; v is the velocity at t.
             v_e, method = begin_epoch(cfg, a_t, v, v_e, plan)
             room = a_t - method.accuracy_m
             energy += method.energy_mJ
+            if room != last_room:
+                rooms.append(room)
+                room_at.append(len(fix_times))
+                last_room = room
             fix_times.append(t)
-            fix_rooms.append(room)
             if record_events:
                 row = (t, EVENT_FIX, method, method.energy_mJ, cum[k] + (t - k) * v, v, v_e)
                 if log and log[-1][1] == EVENT_SAMPLE:  # the sample that called for this fix
@@ -506,6 +515,11 @@ def _satisfaction_exact(
     ``np.sum`` over its own contiguous slice of the gaps, which adds the
     same values in the same order as a sum over that run alone, so every
     satisfaction is bit for bit the one of the run evaluated by itself.
+
+    Known defect, kept to match ``perfbench/refsim`` (``span_room < 0``): a
+    room of 0 still takes the ``positions_at`` round trip, which can land an
+    ulp past the fix, so a run whose every room is 0 (``schedule = 0:10``,
+    ``t_min_refix_s = 0.7``, seed 1, 600 s) reads 7.6e-16, not 0.0.
     """
     duration = float(trace.params.duration_s)
     gaps = np.append(span_start[1:], duration)  # each span's end, until its chunk's pass

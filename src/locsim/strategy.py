@@ -12,9 +12,9 @@ every ``t_s * beta`` seconds and each sample advances the distance
 estimate by ``v_e * t_s * beta``. The event loop that does this, and times
 each epoch, is ``locsim.simulator._event_loop``; this module holds what it
 is configured with and the steps it calls: :func:`plan_method`, once per
-requirement span of a config, :func:`begin_epoch`, which takes the plan or
-selects a method, once per fix and :func:`on_velocity_sample`, the one EWMA,
-once per sample.
+requirement span of a config, :func:`begin_epoch`, which folds the fix-time
+velocity into the EWMA and takes the plan or selects a method, once per fix,
+and :func:`on_velocity_sample`, the EWMA of a sample, once per sample.
 """
 
 from __future__ import annotations
@@ -214,9 +214,9 @@ def begin_epoch(
     is None, the :func:`select_method` choice at this ``v_e``, which in a run
     always finds one: a plan is None only where some method beats ``a_t``,
     and the preflight refuses rates that are not finite. Returns (v_e,
-    method); the loop times the epoch.
+    method); the loop times the epoch. The fold is the expression of
+    :func:`on_velocity_sample`, written out: the same bits, without a
+    second Python frame per fix.
     """
-    # Called through this module's name, not the one locsim.simulator
-    # imports, so calls of that name stay one per sample.
-    v_e = v if v_e is None else on_velocity_sample(v_e, v, cfg.alpha)
+    v_e = v if v_e is None else cfg.alpha * v + (1.0 - cfg.alpha) * v_e
     return v_e, plan if plan is not None else select_method(cfg.methods, a_t, v_e)

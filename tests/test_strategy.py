@@ -138,6 +138,18 @@ class TestEwma:
         out = on_velocity_sample(prev, new, alpha)
         assert min(prev, new) - 1e-9 <= out <= max(prev, new) + 1e-9
 
+    @given(
+        alpha=st.floats(0.0, 1.0, exclude_min=True),
+        v=st.floats(1.0, 20.0),
+        v_e=st.floats(1.0, 20.0),
+    )
+    def test_a_fix_folds_its_velocity_as_a_sample_does(self, alpha, v, v_e):
+        # begin_epoch writes the EWMA out rather than calling it: bit for bit
+        # the same estimate, and the first fix's velocity taken as it is.
+        cfg = StrategyConfig(alpha=alpha, beta=1.0)
+        assert begin_epoch(cfg, 500.0, v, v_e, GPS)[0] == on_velocity_sample(v_e, v, alpha)
+        assert begin_epoch(cfg, 500.0, v, None, GPS)[0] == v
+
 
 class TestCostRate:
     def test_default_methods_at_500m_5mps(self):

@@ -3,18 +3,20 @@
 ``sweep`` runs the event loop for every cell over a seed's trace, then
 evaluates all those runs with one ``_satisfaction_exact`` call. Every
 comparison here is exact ``==``: each sweep row against a separate ``run``
-of its cell and seed, and each run's slice of a multi-run evaluation against
-that run evaluated alone.
+of its cell and seed, each run's slice of a multi-run evaluation against
+that run evaluated alone, and the rooms the loops store once per change
+against the room of every logged fix.
 """
 
 import random
 from array import array
+from bisect import bisect_right
 from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import locsim.simulator as simulator
@@ -26,6 +28,8 @@ from locsim.simulator import (
     run,
     sweep,
 )
+
+from test_engine_equivalence import near_tie_values
 
 
 def cell_config(base, kind, alpha, beta):
@@ -119,9 +123,28 @@ def satisfaction_alone(span_start, span_room, trace):
     return 1.0 if violated <= 0.0 else (duration - violated) / duration
 
 
+def loop_buffers(runs, record_events=False):
+    """The buffers that the event loops of ``runs``, (config, trace) pairs,
+    fill one after another, as ``_runs_on_trace`` has them fill: fix times,
+    rooms stored at each change and the fix index of each. Returns those,
+    the rooms decoded to one per fix by bisection, and the run ends and
+    event logs."""
+    times, rooms, room_at = array("d"), array("d"), array("q")
+    ends, logs = [], []
+    for cfg, trace in runs:
+        _, _, spans = simulator.event_bounds(cfg, record_events)
+        *_, log = _event_loop(
+            cfg.loop_strategy, spans, trace, record_events, times, rooms, room_at
+        )
+        ends.append(len(times))
+        logs.append(log)
+    per_fix = [rooms[bisect_right(room_at, i) - 1] for i in range(len(times))]
+    return np.frombuffer(times), rooms.tolist(), room_at.tolist(), np.array(per_fix), ends, logs
+
+
 def seed_runs(seed):
-    """The default trace of ``seed`` and the fix times and rooms of 18 cells'
-    runs over it, then of three prefixes of the first run.
+    """The default trace of ``seed`` and the fix times and per-fix rooms of
+    18 cells' runs over it, then of three prefixes of the first run.
 
     fixed:wifi has a room of 0 under the last requirement (50 m). Prefixes
     of a run are span sets too, so with them the runs have from 1 to over
@@ -131,11 +154,8 @@ def seed_runs(seed):
     trace = generate_trace(base.mobility)
     runs = []
     for coords in product(("adaptive", "fixed:gps", "fixed:wifi"), (0.3, 0.5), (0.1, 0.35, 1.0)):
-        cell = cell_config(base, *coords)
-        _, _, spans = simulator.event_bounds(cell)
-        times, rooms = array("d"), array("d")
-        _event_loop(cell.loop_strategy, spans, trace, False, times, rooms)
-        runs.append((np.frombuffer(times), np.frombuffer(rooms)))
+        times, _, _, rooms, _, _ = loop_buffers([(cell_config(base, *coords), trace)])
+        runs.append((times, rooms))
     times, rooms = runs[0]
     return trace, runs + [(times[:n], rooms[:n]) for n in (1, 7, 100)]
 
@@ -169,3 +189,54 @@ def test_gaps_made_in_small_chunks_change_no_satisfaction(monkeypatch, seed):
     monkeypatch.setattr(simulator, "_GAP_CHUNK", 7)
     assert _satisfaction_exact(times, rooms, ends, trace) == whole
     assert whole == [satisfaction_alone(t, r, trace) for t, r in runs]
+
+
+def assert_rooms_stored_once_per_change(runs):
+    """The loops of ``runs`` store a room at each run's first fix and at each
+    change of room, and decoded, those rooms are the requirement in force
+    minus the method accuracy of every logged fix, in order. Returns the
+    stored rooms, their fix indices and the run ends."""
+    times, rooms, room_at, per_fix, ends, logs = loop_buffers(runs, record_events=True)
+    firsts = [0, *ends[:-1]]
+    assert all(a < b for a, b in zip(room_at, room_at[1:]))
+    assert set(firsts) <= set(room_at) and room_at[0] == 0
+    for i, at in enumerate(room_at[1:], 1):
+        assert at in firsts or rooms[i] != rooms[i - 1]
+    expected = []
+    for (cfg, _), log in zip(runs, logs):
+        entries = cfg.schedule.entries
+        for t, kind, method, *_ in log:
+            if kind == simulator.EVENT_FIX:
+                a_t = entries[bisect_right([s for s, _ in entries], t) - 1][1]
+                expected.append(a_t - method.accuracy_m)
+    assert per_fix.tolist() == expected and len(times) == len(expected)
+    return rooms, room_at, ends
+
+
+@pytest.mark.parametrize("seed", [1, 17])
+def test_rooms_are_stored_once_per_change(seed):
+    # The paper's cells, fixed:wifi with its zero room under 50 m, and two
+    # fallback runs back to back, whose -5 m room carries over a run boundary.
+    base = build_simulation_config(dict(DEFAULTS, seed=seed))
+    trace = generate_trace(base.mobility)
+    cells = [cell_config(base, k, 0.5, b) for k in ("adaptive", "fixed:gps") for b in (0.1, 1.0)]
+    cells.append(cell_config(base, "fixed:wifi", 0.3, 0.35))
+    fallback = replace(base, schedule=simulator.parse_schedule("0:5"))
+    runs = [(cell, trace) for cell in cells + [fallback, fallback]]
+    rooms, room_at, ends = assert_rooms_stored_once_per_change(runs)
+    # Six spans, one planned method each: at most six rooms per run, and one
+    # per fallback run, out of its 3,600 fixes.
+    stored = [sum(lo <= at < hi for at in room_at) for lo, hi in zip([0, *ends], ends)]
+    assert all(0 < n <= 6 for n in stored) and stored[-2:] == [1, 1]
+    assert rooms[-2:] == [-5.0, -5.0] and ends[-1] - ends[-2] == 3600
+
+
+@given(values=near_tie_values())
+def test_near_tie_rooms_are_stored_once_per_change(values):
+    # Spans without a plan select a method per fix, so the room may change
+    # at any fix; the drawn run is evaluated twice over one set of buffers.
+    cfg = build_simulation_config(dict(DEFAULTS, **values))
+    _, _, spans = simulator.event_bounds(cfg)
+    assume(any(plan is None for *_, plan in spans))
+    trace = generate_trace(cfg.mobility)
+    assert_rooms_stored_once_per_change([(cfg, trace), (cfg, trace)])
