@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from locsim.cli import main
+from locsim.cli import FIGURE_BETAS, main
 from locsim.config import DEFAULT_SCHEDULE_TEXT
 from locsim.mobility import MobilityParams, generate_trace
 from locsim.simulator import (
@@ -27,6 +27,7 @@ from locsim.simulator import (
 from locsim.strategy import DEFAULT_METHODS, StrategyConfig, on_velocity_sample, select_method
 
 from _events import events
+from _oracles import brute_force_select, grid_satisfaction, random_instance
 
 # A per-epoch cost estimate with velocity pinned at the mobility midpoint
 # (5.5 m/s) puts the adaptive/gps energy ratio near 0.77: the tightest
@@ -39,7 +40,6 @@ from _events import events
 ENERGY_RATIO_BOUND = 0.85
 
 ENSEMBLE_ALPHAS = (0.3, 0.5)
-ENSEMBLE_BETAS = tuple(round(0.1 * i, 10) for i in range(1, 11))
 ENSEMBLE_SEEDS = tuple(range(1, 31))
 ENSEMBLE_KINDS = ("adaptive", "fixed:gps")
 
@@ -66,7 +66,7 @@ def ensemble():
     rows = sweep(
         base,
         list(ENSEMBLE_ALPHAS),
-        list(ENSEMBLE_BETAS),
+        list(FIGURE_BETAS),
         list(ENSEMBLE_SEEDS),
         list(ENSEMBLE_KINDS),
     )
@@ -117,26 +117,13 @@ def test_02_distance_estimate_worked_example():
 
 
 def test_03_method_selection_matches_exhaustive_search():
-    from locsim.strategy import Method, cost_rate
-
     rng = random.Random(41)
     n = 10_000
     t0 = time.perf_counter()
     agreements = 0
     for i in range(n):
-        size = rng.randint(1, 6)
-        methods = tuple(
-            Method(f"m{j}", rng.uniform(0.5, 900.0), rng.uniform(1.0, 5000.0))
-            for j in range(size)
-        )
-        a_t = rng.uniform(1.0, 1000.0)
-        v_e = rng.uniform(1e-6, 20.0)
-        eligible = [
-            (m.energy_mJ / ((a_t - m.accuracy_m) / v_e), m.accuracy_m, m.name, m)
-            for m in methods
-            if m.accuracy_m < a_t
-        ]
-        expected = min(eligible)[3] if eligible else None
+        methods, a_t, v_e = random_instance(rng)
+        expected = brute_force_select(methods, a_t, v_e)
         assert select_method(methods, a_t, v_e) is expected, f"instance {i}"
         agreements += 1
     elapsed = time.perf_counter() - t0
@@ -176,7 +163,7 @@ def test_05_adaptive_beats_gps_on_energy(ensemble):
 
     rows, _ = ensemble
     ratios = {}
-    for beta in ENSEMBLE_BETAS:
+    for beta in FIGURE_BETAS:
         ratio = mean_energy(rows, "adaptive", beta) / mean_energy(rows, "fixed:gps", beta)
         assert ratio < ENERGY_RATIO_BOUND, f"beta={beta}: ratio {ratio:.4f}"
         ratios[beta] = ratio
@@ -191,7 +178,7 @@ def test_06_adaptive_matches_gps_on_satisfaction(ensemble):
     are 0.893402 against 0.892688."""
     rows, _ = ensemble
     margins = []
-    for beta in ENSEMBLE_BETAS:
+    for beta in FIGURE_BETAS:
         ours = mean_satisfaction(rows, "adaptive", beta)
         gps = mean_satisfaction(rows, "fixed:gps", beta)
         assert ours >= gps, f"beta={beta}: {ours:.4f} < {gps:.4f}"
@@ -224,24 +211,7 @@ def test_07_satisfaction_agrees_with_grid_brute_force():
             rng.choice(["adaptive", "fixed:gps"]),
         )
         result = run(cfg)
-        trace = generate_trace(params)
-
-        # 1 ms grid evaluation, written against the raw definition.
-        t = np.arange(duration * 1000 + 1, dtype=np.float64) / 1000.0
-        knots = np.arange(len(trace.velocities) + 1, dtype=float)
-        pos = np.interp(t, knots, trace.cumulative_m)
-        fix_t = np.array([e.time_s for e in events(result) if e.kind == EVENT_FIX])
-        fix_acc = np.array(
-            [e.method.accuracy_m for e in events(result) if e.kind == EVENT_FIX]
-        )
-        fix_pos = np.interp(fix_t, knots, trace.cumulative_m)
-        li = np.searchsorted(fix_t, t, side="right") - 1
-        starts_arr = np.array([s for s, _ in sched.entries])
-        reqs = np.array([r for _, r in sched.entries])
-        ri = np.searchsorted(starts_arr, t, side="right") - 1
-        ok = (pos - fix_pos[li]) + fix_acc[li] <= reqs[ri] + 1e-9
-        approx = float(np.mean(ok))
-
+        approx = grid_satisfaction(events(result), generate_trace(params), sched)
         err = abs(result.satisfaction - approx)
         worst = max(worst, err)
         assert err < 1e-4, f"config {i}: |{result.satisfaction} - {approx}| = {err}"

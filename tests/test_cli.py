@@ -15,11 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import locsim.simulator as simulator
-from locsim.cli import FIGURES, MAX_LIST_VALUES, main, parse_float_list, parse_seed_list
+from locsim.cli import FIGURE_BETAS, FIGURES, MAX_LIST_VALUES, main, parse_float_list, parse_seed_list
 from locsim.config import DEFAULTS, build_simulation_config, resolve_config
 from locsim.errors import ConfigError
 from locsim.mobility import MAX_DURATION_S, generate_trace
-from locsim.simulator import MAX_EVENTS, MAX_LOGGED_EVENTS, event_bounds, sweep, sweep_means
+from locsim.simulator import sweep, sweep_means
 
 SUMMARY_HEADER = "kind,alpha,beta,seed,total_energy_mJ,satisfaction,fix_count,sample_count"
 GOLDEN_SEED7_ROW = "adaptive,0.500000,1.000000,7,149185.000000,0.655144,230,322"
@@ -50,6 +50,84 @@ def cap_address_space():
     import resource
 
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+# 100 alphas by 100 betas.
+GRID = ["--alphas", "0.01:1:0.01", "--betas", "0.01:1:0.01"]
+
+
+@pytest.mark.parametrize(
+    ("argv", "config", "message"),
+    [
+        pytest.param(["simulate"], "methods = gps:nan:1425\n", "accuracy_m must be finite",
+                     id="nan-accuracy"),
+        # The only budget, 1e-323 - 5e-324 m, lasts (5e-324 / 2) s: 0 after rounding.
+        pytest.param(["simulate"], "methods = a:5e-324:1\nschedule = 0:1e-323\nv0 = 2\n", "underflow",
+                     id="subnormal-budget"),
+        # 1e308 mJ over 0.5 m of room: the cost rate overflows to inf.
+        pytest.param(["simulate"], "methods = gps:10:1e308\nschedule = 0:10.5\n",
+                     "method gps: its cost rate", id="cost-rate-overflow"),
+        # No time to simulate, but the room's seconds underflow at 2 * v_max.
+        pytest.param(["simulate"], "methods = a:5e-324:1\nschedule = 0:1e-323\nv0 = 2\nduration_s = 0\n",
+                     "method a: the budget", id="cost-rate-underflow"),
+        # A trace of 10^11 s would need over 100 GiB.
+        pytest.param(["simulate", "--duration", "100000000000"], "",
+                     f"duration_s must be at most {MAX_DURATION_S}", id="huge-duration"),
+        # 2**63 used to overflow numpy's int64 in the trace's period check.
+        pytest.param(["simulate"], "t1_s = 9223372036854775808\n",
+                     f"error: t1_s must be at most {MAX_DURATION_S}", id="oversized-t1"),
+        # About 10^9 samples per epoch.
+        pytest.param(["simulate", "--beta", "1e-9", "--out", "{tmp}/e.csv"], "", "more than 1e+08",
+                     id="runaway-beta"),
+        # No method beats 5 m, so the run re-fixes every nanosecond.
+        pytest.param(["simulate", "--out", "{tmp}/e.csv"],
+                     "t_min_refix_s = 1e-9\nschedule = 0:5\n", "more than 1e+08", id="runaway-refix"),
+        # A room of 1e-7 m.
+        pytest.param(["simulate", "--out", "{tmp}/e.csv"],
+                     "schedule = 0:10.0000001\nmethods = gps:10:1425\n", "more than 1e+08", id="runaway-room"),
+        # At t = 1e5, 1e-12 s is below the float spacing: time would stand still.
+        pytest.param(["simulate", "--out", "{tmp}/e.csv"],
+                     "duration_s = 100001\nt_min_refix_s = 1e-12\n"
+                     "schedule = 0:500,100000:5,100000.00001:500\n",
+                     "too short to advance the event time", id="runaway-stall"),
+        # Allowed about 5.1e7 events: under MAX_EVENTS, so without --out it
+        # would run (not done here), but its event log could take about 10 GB.
+        pytest.param(["simulate", "--duration", "1000000", "--beta", "0.01", "--out", "{tmp}/e.csv"],
+                     "", "an event log may hold; drop --out", id="oversized-event-log"),
+        # 2 * 10^9 runs; before the grid was bounded this ran until killed.
+        pytest.param(["sweep", *GRID, "--seeds", "1..100000", "--kinds", "adaptive,fixed:gps",
+                      "--duration", "10", "--out", "{tmp}/grid.csv"],
+                     "", "2000000000 runs allow more than 1e+08", id="oversized-grid"),
+        # 5 * 10^7 runs of 0 s, each allowed 2 events: about 25 minutes of
+        # runs and rows held in memory before each run was charged a floor.
+        pytest.param(["sweep", *GRID, "--seeds", "1..2500", "--kinds", "adaptive,fixed:gps",
+                      "--duration", "0", "--out", "{tmp}/grid.csv"],
+                     "", "50000000 runs allow more than 1e+08", id="grid-of-empty-runs"),
+        *(
+            pytest.param(["sweep", flag, text, "--seeds", "1", "--out", "{tmp}/grid.csv"], "",
+                         "must be finite", id=f"non-finite{flag[1:]}-{text}")
+            for flag in ("--betas", "--alphas")
+            for text in ("0.1:nan:0.1", "0.1:inf:0.1", "0.1:1:nan", "0:1e300:1e-300")
+        ),
+    ],
+)
+def test_refused_input_exits_2_without_traceback(tmp_path, argv, config, message):
+    """``python -m locsim argv --config FILE``, with FILE holding ``config``,
+    exits 2 with ``message`` on its last stderr line, before it writes
+    anything, under a 1 GiB address space."""
+    pytest.importorskip("resource")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    proc = subprocess.run(
+        [sys.executable, "-m", "locsim", *(a.format(tmp=tmp_path) for a in argv), "--config", str(cfg)],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith("error: ") and message in last
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 class TestListParsing:
@@ -174,136 +252,6 @@ class TestSimulate:
         with pytest.raises(ConfigError, match="unknown config key 'speed'"):
             resolve_config({"speed": 1})
 
-    def test_non_finite_method_accuracy_exits_2_without_traceback(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("methods = gps:nan:1425\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "locsim", "simulate", "--config", str(cfg)],
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 2
-        assert "accuracy_m must be finite" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
-
-    def test_subnormal_budget_exits_2_without_traceback(self, tmp_path):
-        # The only budget, 1e-323 - 5e-324 m, lasts (5e-324 / 2) s: 0 after rounding.
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("methods = a:5e-324:1\nschedule = 0:1e-323\nv0 = 2\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "locsim", "simulate", "--config", str(cfg)],
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 2
-        assert "underflow" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
-
-    @pytest.mark.parametrize(
-        ("config", "message"),
-        [
-            # 1e308 mJ over 0.5 m of room: the cost rate overflows to inf.
-            ("methods = gps:10:1e308\nschedule = 0:10.5\n", "method gps: its cost rate"),
-            # No time to simulate, but the room's seconds underflow at 2 * v_max.
-            (
-                "methods = a:5e-324:1\nschedule = 0:1e-323\nv0 = 2\nduration_s = 0\n",
-                "method a: the budget",
-            ),
-        ],
-        ids=["overflow", "underflow"],
-    )
-    def test_cost_rate_out_of_range_exits_2_naming_the_method(self, tmp_path, config, message):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(config)
-        proc = subprocess.run(
-            [sys.executable, "-m", "locsim", "simulate", "--config", str(cfg)],
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 2
-        assert message in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
-
-    def test_huge_duration_exits_2_without_traceback(self):
-        # A trace of 10^11 s would need over 100 GiB.
-        pytest.importorskip("resource")
-        proc = subprocess.run(
-            [sys.executable, "-m", "locsim", "simulate", "--duration", "100000000000"],
-            capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space,
-        )
-        assert proc.returncode == 2
-        assert f"duration_s must be at most {MAX_DURATION_S}" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
-
-    def test_oversized_t1_exits_2_without_traceback(self, tmp_path):
-        # 2**63 used to overflow numpy's int64 in the trace's period check.
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("t1_s = 9223372036854775808\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "locsim", "simulate", "--config", str(cfg)],
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 2
-        assert f"error: t1_s must be at most {MAX_DURATION_S}" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
-
-    @pytest.mark.parametrize(
-        ("flags", "config", "message"),
-        [
-            # About 10^9 samples per epoch.
-            (["--beta", "1e-9"], "", "more than 1e+08"),
-            # No method beats 5 m, so the run re-fixes every nanosecond.
-            ([], "t_min_refix_s = 1e-9\nschedule = 0:5\n", "more than 1e+08"),
-            # A room of 1e-7 m.
-            ([], "schedule = 0:10.0000001\nmethods = gps:10:1425\n", "more than 1e+08"),
-            # At t = 1e5, 1e-12 s is below the float spacing: time would stand still.
-            (
-                [],
-                "duration_s = 100001\nt_min_refix_s = 1e-12\n"
-                "schedule = 0:500,100000:5,100000.00001:500\n",
-                "too short to advance the event time",
-            ),
-        ],
-        ids=["beta", "refix", "room", "stall"],
-    )
-    def test_runaway_config_exits_2_without_traceback(self, tmp_path, flags, config, message):
-        pytest.importorskip("resource")
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(config)
-        out = tmp_path / "e.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "locsim", "simulate", "--config", str(cfg), *flags,
-             "--out", str(out)],
-            capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr.splitlines()[-1].startswith("error: ")
-        assert message in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
-        assert not out.exists()
-
-    def test_oversized_event_log_exits_2_without_traceback(self, tmp_path):
-        # Allowed about 5.1e7 events: under MAX_EVENTS, so without --out it
-        # would run (not done here), but its event log could take about 10 GB.
-        config = build_simulation_config({**DEFAULTS, "duration_s": 1_000_000, "beta": 0.01})
-        assert MAX_LOGGED_EVENTS < sum(event_bounds(config)[:2]) < MAX_EVENTS
-        pytest.importorskip("resource")
-        out = tmp_path / "e.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "locsim", "simulate", "--duration", "1000000",
-             "--beta", "0.01", "--out", str(out)],
-            capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr.splitlines()[-1].startswith("error: ")
-        assert "--out" in proc.stderr.splitlines()[-1]
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
-        assert not out.exists()
-
     def test_event_log_written_and_deterministic(self, tmp_path, capsys):
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"
@@ -373,53 +321,6 @@ class TestSweepCommand:
     def test_out_flag_required(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--seeds", "1")
         assert code == 2
-
-    def test_oversized_grid_exits_2_without_traceback(self, tmp_path):
-        # 2 * 10^9 runs; before the grid was bounded this ran until killed.
-        pytest.importorskip("resource")
-        out = tmp_path / "grid.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "locsim", "sweep", "--alphas", "0.01:1:0.01",
-             "--betas", "0.01:1:0.01", "--seeds", "1..100000", "--kinds", "adaptive,fixed:gps",
-             "--duration", "10", "--out", str(out)],
-            capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space,
-        )
-        assert proc.returncode == 2
-        assert "2000000000 runs allow more than 1e+08" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
-        assert list(tmp_path.iterdir()) == []
-
-    def test_grid_of_empty_runs_exits_2_without_traceback(self, tmp_path):
-        # 5 * 10^7 runs of 0 s, each allowed 2 events: about 25 minutes of
-        # runs and rows held in memory before each run was charged a floor.
-        pytest.importorskip("resource")
-        out = tmp_path / "grid.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "locsim", "sweep", "--alphas", "0.01:1:0.01",
-             "--betas", "0.01:1:0.01", "--seeds", "1..2500", "--kinds", "adaptive,fixed:gps",
-             "--duration", "0", "--out", str(out)],
-            capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space,
-        )
-        assert proc.returncode == 2
-        assert "50000000 runs allow more than 1e+08" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("flag", ["--betas", "--alphas"])
-    @pytest.mark.parametrize("text", ["0.1:nan:0.1", "0.1:inf:0.1", "0.1:1:nan", "0:1e300:1e-300"])
-    def test_non_finite_range_exits_2_without_traceback(self, tmp_path, flag, text):
-        out = tmp_path / "grid.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "locsim", "sweep", flag, text, "--seeds", "1",
-             "--out", str(out)],
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 2
-        assert "must be finite" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
-        assert not out.exists()
 
 
 class TestReproduceFigures:
@@ -499,16 +400,15 @@ class TestReproduceFigures:
 
         # Each figure row is its alpha's own sweep means, formatted "%.6f".
         base = build_simulation_config(dict(DEFAULTS, duration_s=120))
-        betas = [round(0.1 * i, 10) for i in range(1, 11)]
         for alpha, (energy_name, sat_name) in ((0.5, ("fig2", "fig3")), (0.3, ("fig4", "fig5"))):
-            means = sweep_means(sweep(base, [alpha], betas, seeds, ["fixed:gps", "adaptive"]))
+            means = sweep_means(sweep(base, [alpha], FIGURE_BETAS, seeds, ["fixed:gps", "adaptive"]))
             gps = {m.beta: m for m in means if m.kind == "fixed:gps"}
             ours = {m.beta: m for m in means if m.kind == "adaptive"}
             for name, field in ((energy_name, "total_energy_mJ"), (sat_name, "satisfaction")):
                 lines = (out_dir / f"{name}.csv").read_text().splitlines()[1:]
                 assert lines == [
                     "%.6f,%.6f,%.6f" % (b, getattr(gps[b], field), getattr(ours[b], field))
-                    for b in betas
+                    for b in FIGURE_BETAS
                 ]
 
 
